@@ -28,6 +28,7 @@ use bios_faults::{FaultPlan, Faultable, RealizedFaults};
 use bios_instrument::noise::NoiseGenerator;
 use bios_instrument::{Adc, ReadoutChain, TransimpedanceAmplifier};
 use bios_nanomaterial::{Electrode, ElectrodeRole, ElectrodeStock, SurfaceModification};
+use bios_prng::Fnv1a;
 use bios_units::{
     Amperes, ConcentrationRange, Kelvin, Molar, Sensitivity, SquareCm, SurfaceLoading, Volts,
     FARADAY,
@@ -193,12 +194,7 @@ impl CatalogEntry {
         // The Debug rendering covers every field of the entry, and f64
         // Debug output is shortest-round-trip, so distinct bit patterns
         // render distinctly.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        Fnv1a::hash_fmt(format_args!("{self:?}"))
     }
 
     /// The apparent Michaelis constant implied by the reported linear
@@ -1009,6 +1005,54 @@ mod tests {
             (0.45..0.75).contains(&ratio),
             "60% film should measure ≈60% sensitivity, got {ratio}"
         );
+    }
+
+    /// Absolute fingerprints, pinned so that a change to how an entry
+    /// is hashed (or to any byte of its `Debug` rendering) fails here
+    /// instead of silently re-keying every memo cache and journal.
+    /// Columns: id, then the fingerprint as built,
+    /// `with_film_activity(0.6)`, `with_sweep_points(5)` and
+    /// `with_id("x/y")`.
+    #[test]
+    fn protocol_fingerprints_are_pinned() {
+        const GOLDEN: &str = "\
+glucose/ryu2010 6c2bb0c774a1eaec 099f7c2bcbaf99b9 1a9ef1da694e483a ff7f0a2f970346e8
+glucose/tsai2005 9a40b114ca98e89e 83a06b2747ba81b7 945735314e80de1c 1962108356be042f
+glucose/wang2003 38ddcb5ac3deaa67 66c61ebb88a109d6 624b4969c37c0aef d96939c37212561e
+glucose/hua2012 aa3245e7c549e037 d3a0438886826666 437373074b4f073f 5b12dd17c13266eb
+glucose/ours dfb0f8cec08286d8 8f9b5a1ee81ef087 a35d59964789ddc8 a63554be8df077be
+lactate/rubianes2005 ad511a14acdee039 287140e78d861044 a1d6952da5ceeec9 4697525fcf866f24
+lactate/yang2008 50017e05522002b4 3ffb471d8ce37861 308f8cc805ed6572 e15d66e0d2bb663a
+lactate/huang2007 d29fc57fb2c0f7bf 5e8d65a35ca1eeae e002337b5bda9197 9f7ed6958352d2d0
+lactate/goran2011 bb3feda9a93e0425 44c6ba8952159be8 14db2c8f6f4d5f9d 8136808034c62391
+lactate/ours ba4422847b073a3e 78f13f57c723f021 3cac97c9b266e846 427432e5a8dc2764
+glutamate/pan1996 4c8933344fd3e9b4 3c82fc4c8a975f61 87213ace9ad06272 190e7e22be002f9f
+glutamate/zhang2006 08c45eed328b8261 ac4c6efb7d54f26c f55ab2ca34e217e1 e27089336d049252
+glutamate/ammam2010 66166b2e56787eba da29f3dee8bdf97b 266aab139c284700 d2b0dd2d34869d43
+glutamate/ours 0bb876874d4e9f13 d72b7c309f1afd84 2e7887bf0f1bfbd9 35b6c5ea96bd37d9
+cyp/arachidonic-acid 70ab1c30558b9b5e 1844a9a6c22eb0c1 a365be09a94426e6 68224a494042f28e
+cyp/cyclophosphamide 61edb7fc39c4147c d9723201cc6d3fd3 1768707c53cd3994 6d59f15ae1fc7953
+cyp/ifosfamide 5d5eeb1e1e1bb12c d452a7a0fef94dc3 c5537cbc10ac3544 cf2e0d4f576398c4
+cyp/ftorafur a5e87d40c9964ff4 015ec5bff6fb7e4b 304520492e28a27c 4657cc062e3d54e2
+panel/benzphetamine 66c0f028fd4fe8dd aeecf1d091a33660 5877396cfca9ec85 5e93786d60932650
+panel/cyclophosphamide 3dd610ff31a32e31 38fbecfaef49f53c aea7741c0151bb71 fb3b598d29c2bfde
+panel/dextromethorphan 80127d7e3ac7db0c fd9739464189a7d9 7351304857da96da dd3bc6773e2cd093
+panel/naproxen 5583e0d5a61b4cef 6e0bf8474fab4b9e 450a627f9682cdc7 b156d5a83de78e47
+panel/flurbiprofen ecb043c70a2d4fc0 9d975a702f8361c5 95b2ac0edbf274f6 50bc3c8bd1c0af85";
+        let mut entries = all_table2();
+        entries.extend(multi_panel_sensors());
+        assert_eq!(entries.len(), GOLDEN.lines().count());
+        for (e, golden) in entries.iter().zip(GOLDEN.lines()) {
+            let row = format!(
+                "{} {:016x} {:016x} {:016x} {:016x}",
+                e.id(),
+                e.protocol_fingerprint(),
+                e.clone().with_film_activity(0.6).protocol_fingerprint(),
+                e.clone().with_sweep_points(5).protocol_fingerprint(),
+                e.clone().with_id("x/y").protocol_fingerprint(),
+            );
+            assert_eq!(row, golden);
+        }
     }
 
     #[test]

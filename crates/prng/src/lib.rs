@@ -13,6 +13,11 @@
 //! * [`Rng`] — xoshiro256\*\* 1.0 (Blackman & Vigna 2018), the
 //!   general-purpose generator, seeded via `SplitMix64`.
 //!
+//! It also carries [`Fnv1a`], the platform's one content hash. The
+//! physics crates (`bios-core`, `bios-faults`) fingerprint with it and
+//! may depend only on leaf crates, so it lives here rather than in the
+//! serving layer's `bios-recover`, which re-exports it.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,6 +33,10 @@
 //! ```
 
 #![warn(missing_docs)]
+
+mod fnv;
+
+pub use fnv::Fnv1a;
 
 /// The splitmix64 seed expander: a tiny generator with a 64-bit state
 /// whose single purpose is turning one `u64` into a stream of

@@ -58,7 +58,7 @@ pub mod vote;
 
 use bios_analytics::CalibrationSummary;
 use bios_faults::{FaultKind, FaultPlan};
-use bios_recover::fnv1a;
+use bios_recover::Fnv1a;
 use bios_runtime::{JobResult, RuntimeMetrics};
 
 pub use suspect::SuspectBoard;
@@ -111,7 +111,7 @@ impl QuorumConfig {
         if self.sampling <= 0.0 {
             return false;
         }
-        let h = fnv1a(format!("quorum {sensor} {seed:016x}").as_bytes());
+        let h = Fnv1a::hash_fmt(format_args!("quorum {sensor} {seed:016x}"));
         // Top 53 bits → uniform in [0, 1): the same idiom as the fault
         // realizer's occurrence gate, reproducible on any platform.
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
@@ -423,6 +423,29 @@ mod tests {
         }
         // Rough quarter, by hash not by scheduling.
         assert!((50..200).contains(&covered), "covered {covered} of 400");
+        // Absolute verdicts: coverage decides which jobs are voted on,
+        // so no hashed byte may move.
+        let verdict = |sensor: &str, seed| {
+            if config.covers(sensor, seed, false) {
+                '1'
+            } else {
+                '0'
+            }
+        };
+        let spread: String = (0..64u64)
+            .map(|k| verdict("glucose/gox", k.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        assert_eq!(
+            spread,
+            "0011001101000001101000010100000000010010000000010000000100100000"
+        );
+        let panel = bios_core::catalog::multi_panel_sensors();
+        let ids: String = bios_core::catalog::all_table2()
+            .iter()
+            .chain(&panel)
+            .map(|e| verdict(e.id(), 42))
+            .collect();
+        assert_eq!(ids, "01010010101001000110101");
         // Critical jobs are always covered.
         assert!(config.covers("glucose/gox", 9999, true));
         let off = QuorumConfig {

@@ -13,22 +13,19 @@
 
 use std::io::{self, Read, Write};
 
+use bios_prng::Fnv1a;
+
 /// The framing cannot describe payloads larger than this; a length
 /// prefix beyond it is treated as corruption rather than honoured with
 /// a giant allocation.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
-/// FNV-1a over a byte slice — the same checksum idiom the catalog and
-/// fault plans use for fingerprints, so durable files need no new
-/// hashing scheme.
+/// FNV-1a over a byte slice ([`Fnv1a::hash`]) — the same hash the
+/// catalog and fault plans fingerprint with, so durable files need no
+/// new hashing scheme.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    Fnv1a::hash(bytes)
 }
 
 /// Why a decode failed. Every variant is recoverable by the caller

@@ -56,6 +56,7 @@ pub mod codec;
 pub mod journal;
 pub mod sim;
 
+pub use bios_prng::Fnv1a;
 pub use codec::{fnv1a, ByteReader, ByteWriter, CodecError};
 pub use journal::{Disposition, JournalError, JournalReader, JournalWriter, LoadedJournal, Record};
 pub use sim::{

@@ -38,7 +38,7 @@ use bios_analytics::{CalibrationCurve, CalibrationPoint, CalibrationSummary};
 use bios_core::catalog::CalibrationOutcome;
 use bios_recover::codec::{read_frame, write_frame, FrameRead};
 use bios_recover::sim::{RealIo, StorageIo};
-use bios_recover::{fnv1a, ByteReader, ByteWriter, CodecError};
+use bios_recover::{ByteReader, ByteWriter, CodecError, Fnv1a};
 use bios_units::{Amperes, ConcentrationRange, Molar, Sensitivity, SquareCm};
 
 /// First bytes of a cache snapshot file.
@@ -88,7 +88,7 @@ struct Shard {
 /// served, because a finite-but-wrong summary would sail through
 /// `NonFinite` quarantine and poison every later run that hits it.
 fn outcome_checksum(outcome: &CalibrationOutcome) -> u64 {
-    fnv1a(format!("{:?}", outcome.summary).as_bytes())
+    Fnv1a::hash_fmt(format_args!("{:?}", outcome.summary))
 }
 
 /// A sharded, thread-safe, bounded memo table of calibration outcomes.

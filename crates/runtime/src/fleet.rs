@@ -15,6 +15,7 @@ use std::time::Duration;
 use bios_core::catalog::{CalibrationOutcome, CatalogEntry};
 use bios_core::CoreError;
 use bios_faults::{FaultPlan, FaultTally};
+use bios_recover::Fnv1a;
 
 use crate::metrics::MetricsSnapshot;
 
@@ -109,10 +110,10 @@ impl Fleet {
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         use fmt::Write;
-        let mut desc = String::new();
+        let mut hash = Fnv1a::new();
         for job in &self.jobs {
             let _ = writeln!(
-                desc,
+                hash,
                 "{} {:016x} {:016x}",
                 job.entry.id(),
                 job.entry.protocol_fingerprint(),
@@ -120,11 +121,11 @@ impl Fleet {
             );
         }
         let _ = writeln!(
-            desc,
+            hash,
             "plan {:016x}",
             self.fault_plan.as_ref().map_or(0, |p| p.fingerprint())
         );
-        bios_recover::fnv1a(desc.as_bytes())
+        hash.value()
     }
 
     /// Builds a fleet directly from pre-indexed jobs, reusing this
@@ -339,7 +340,9 @@ impl JobResult {
     /// currently carries (FNV-1a over [`JobResult::digest_line`]).
     #[must_use]
     pub fn payload_checksum(&self) -> u64 {
-        bios_recover::fnv1a(self.digest_line().as_bytes())
+        let mut hash = Fnv1a::new();
+        let _ = self.write_digest_line(&mut hash);
+        hash.value()
     }
 
     /// Stamps the produce-time integrity checksum. Call exactly once,
@@ -372,11 +375,24 @@ impl JobResult {
     /// byte-identical digest from journaled lines.
     #[must_use]
     pub fn digest_line(&self) -> String {
+        let mut line = String::new();
+        let _ = self.write_digest_line(&mut line);
+        line
+    }
+
+    /// Writes [`JobResult::digest_line`] into `out`: the one definition
+    /// of the line's bytes, shared by the rendered line and the
+    /// integrity checksum that hashes it without rendering.
+    ///
+    /// # Errors
+    ///
+    /// Only what `out` itself reports.
+    pub fn write_digest_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match &self.outcome {
             // `{:?}` on f64 prints the shortest round-trip form, so
             // equal digests ⇔ bit-equal summaries.
-            Ok(o) => format!("{} seed={} {:?}", self.sensor, self.seed, o.summary),
-            Err(e) => format!("{} seed={} ERROR {e}", self.sensor, self.seed),
+            Ok(o) => write!(out, "{} seed={} {:?}", self.sensor, self.seed, o.summary),
+            Err(e) => write!(out, "{} seed={} ERROR {e}", self.sensor, self.seed),
         }
     }
 }
@@ -463,10 +479,10 @@ impl FleetReport {
     /// artifacts (wall times, cache dispositions) are excluded.
     #[must_use]
     pub fn summaries_digest(&self) -> String {
-        use fmt::Write;
         let mut out = String::new();
         for r in &self.results {
-            let _ = writeln!(out, "{}", r.digest_line());
+            let _ = r.write_digest_line(&mut out);
+            out.push('\n');
         }
         out
     }
@@ -632,6 +648,42 @@ mod tests {
             .fault_plan(bios_faults::FaultPlan::chaos(7, 0.5))
             .build();
         assert_ne!(a.fingerprint(), armed.fingerprint());
+        // Absolute values: the fingerprint is the journal's identity
+        // check, so moving a hashed byte would orphan every journal.
+        assert_eq!(armed.fingerprint(), 0x61c5_66d9_8cfe_567b);
+        let mut entries = catalog::all_table2();
+        entries.extend(catalog::multi_panel_sensors());
+        let survey = Fleet::builder("golden")
+            .sensors(entries)
+            .seeds(0..200)
+            .build();
+        assert_eq!(survey.len(), 4600);
+        assert_eq!(survey.fingerprint(), 0xf4a3_e08b_651a_9f24);
+    }
+
+    #[test]
+    fn integrity_checksums_are_pinned() {
+        let outcome = catalog::our_glucose_sensor().run_calibration(7).unwrap();
+        let result = |outcome| JobResult {
+            index: 3,
+            sensor: "glucose/ours".into(),
+            seed: 7,
+            wall: Duration::ZERO,
+            from_cache: false,
+            attempts: 1,
+            injected: FaultTally::default(),
+            outcome,
+            integrity: 0,
+        };
+        let ok = result(Ok(Arc::new(outcome))).sealed();
+        assert_eq!(ok.integrity, 0xdfb2_cb62_e03c_48af);
+        assert!(ok.verify_integrity());
+        let lost = result(Err(JobError::Deadline)).sealed();
+        assert_eq!(lost.integrity, 0x7ba6_ce12_5596_58eb);
+        // The checksum hashes exactly the digest line's bytes.
+        for r in [&ok, &lost] {
+            assert_eq!(r.integrity, bios_recover::fnv1a(r.digest_line().as_bytes()));
+        }
     }
 
     #[test]

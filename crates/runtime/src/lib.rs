@@ -288,11 +288,10 @@ pub struct Runtime {
     metrics: Arc<RuntimeMetrics>,
 }
 
-/// What one executed job sends back from its worker.
+/// What one job's pipeline produced, before [`execute_job`] stamps it
+/// with the job's identity and wall time and seals it.
 struct Completion {
-    index: usize,
     outcome: Result<Arc<CalibrationOutcome>, JobError>,
-    wall: Duration,
     from_cache: bool,
     attempts: u32,
     injected: FaultTally,
@@ -434,7 +433,7 @@ impl Runtime {
         let watchdog = (self.config.job_deadline > Duration::ZERO)
             .then(|| Watchdog::spawn(self.config.job_deadline));
         let registry = watchdog.as_ref().map(Watchdog::registry);
-        let (tx, rx) = mpsc::channel::<Completion>();
+        let (tx, rx) = mpsc::channel::<JobResult>();
         // Dispatch contiguous *chunks* of jobs rather than single jobs:
         // the job list is shared as one `Arc<[Job]>` and each boxed task
         // walks its index range, so the per-job dispatch cost (entry
@@ -456,7 +455,7 @@ impl Runtime {
             self.pool.execute_judged(move || {
                 let mut absorbed_stall = false;
                 for job in &jobs[start..end] {
-                    let completion = execute_job(
+                    let result = execute_job(
                         job.index,
                         &job.entry,
                         job.seed,
@@ -467,8 +466,8 @@ impl Runtime {
                         policy,
                     );
                     absorbed_stall |=
-                        registry.is_some() && matches!(completion.outcome, Err(JobError::Deadline));
-                    let _ = tx.send(completion);
+                        registry.is_some() && matches!(result.outcome, Err(JobError::Deadline));
+                    let _ = tx.send(result);
                 }
                 if absorbed_stall {
                     // The thread sat in a livelock until the watchdog
@@ -487,22 +486,10 @@ impl Runtime {
         let mut received = 0usize;
         while received < fleet.len() {
             match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(completion) => {
-                    let job = &fleet.jobs()[completion.index];
-                    let result = JobResult {
-                        index: job.index,
-                        sensor: job.entry.id().to_owned(),
-                        seed: job.seed,
-                        wall: completion.wall,
-                        from_cache: completion.from_cache,
-                        attempts: completion.attempts,
-                        injected: completion.injected,
-                        outcome: completion.outcome,
-                        integrity: 0,
-                    }
-                    .sealed();
+                Ok(result) => {
                     on_result(&result);
-                    slots[completion.index] = Some(result);
+                    let index = result.index;
+                    slots[index] = Some(result);
                     received += 1;
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -584,7 +571,7 @@ impl Runtime {
             .jobs()
             .iter()
             .map(|job| {
-                let completion = execute_job(
+                execute_job(
                     job.index,
                     &job.entry,
                     job.seed,
@@ -593,19 +580,7 @@ impl Runtime {
                     None,
                     &self.metrics,
                     policy,
-                );
-                JobResult {
-                    index: job.index,
-                    sensor: job.entry.id().to_owned(),
-                    seed: job.seed,
-                    wall: completion.wall,
-                    from_cache: completion.from_cache,
-                    attempts: completion.attempts,
-                    injected: completion.injected,
-                    outcome: completion.outcome,
-                    integrity: 0,
-                }
-                .sealed()
+                )
             })
             .collect();
         FleetReport {
@@ -635,8 +610,8 @@ impl Runtime {
 #[derive(Debug)]
 pub struct JobStream<'rt> {
     runtime: &'rt Runtime,
-    tx: mpsc::Sender<(u64, Completion)>,
-    rx: mpsc::Receiver<(u64, Completion)>,
+    tx: mpsc::Sender<(u64, JobResult)>,
+    rx: mpsc::Receiver<(u64, JobResult)>,
     next_ticket: u64,
     /// Ticket → (sensor id, seed) for every submitted-but-uncollected
     /// job; `BTreeMap` so the oldest ticket is recoverable when a lost
@@ -687,7 +662,7 @@ impl JobStream<'_> {
         let metrics = Arc::clone(&self.runtime.metrics);
         let policy = ExecPolicy::from_config(&self.runtime.config);
         host.pool.execute(move || {
-            let completion = execute_job(
+            let result = execute_job(
                 ticket as usize,
                 &entry,
                 seed,
@@ -697,7 +672,7 @@ impl JobStream<'_> {
                 &metrics,
                 policy,
             );
-            let _ = tx.send((ticket, completion));
+            let _ = tx.send((ticket, result));
         });
         ticket
     }
@@ -719,25 +694,11 @@ impl JobStream<'_> {
         loop {
             self.outstanding.keys().next()?;
             match self.rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((ticket, completion)) => {
-                    // A completion whose ticket was already synthesized
-                    // as lost (worker limped back) is dropped.
-                    if let Some((sensor, seed)) = self.outstanding.remove(&ticket) {
-                        return Some((
-                            ticket,
-                            JobResult {
-                                index: ticket as usize,
-                                sensor,
-                                seed,
-                                wall: completion.wall,
-                                from_cache: completion.from_cache,
-                                attempts: completion.attempts,
-                                injected: completion.injected,
-                                outcome: completion.outcome,
-                                integrity: 0,
-                            }
-                            .sealed(),
-                        ));
+                Ok((ticket, result)) => {
+                    // A result whose ticket was already synthesized as
+                    // lost (worker limped back) is dropped.
+                    if self.outstanding.remove(&ticket).is_some() {
+                        return Some((ticket, result));
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -782,16 +743,10 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
     jobs.div_ceil((workers * 4).max(1)).max(1)
 }
 
-/// Runs one job: realize faults, budget gate, cache probe, then the
-/// attempt loop — simulate behind `catch_unwind`, retry transient
-/// failures with deterministic backoff, memoize successes, meter
-/// everything.
-///
-/// Every branch here is a pure function of `(entry, seed, plan,
-/// policy)` — never of the worker, the attempt wall-clock, or cache
-/// state (the budget gate runs *before* the cache probe so a rejection
-/// cannot depend on what happens to be memoized) — which is what keeps
-/// fleet outcomes identical across worker counts even mid-chaos.
+/// Runs one job on the calling worker and seals its [`JobResult`]
+/// there, before the result crosses any channel: the one place
+/// executed work becomes a result, shared by the pool's chunks,
+/// [`Runtime::run_sequential`] and [`JobStream::submit_on`].
 #[allow(clippy::too_many_arguments)]
 fn execute_job(
     index: usize,
@@ -802,8 +757,46 @@ fn execute_job(
     watch: Option<&WatchRegistry>,
     metrics: &RuntimeMetrics,
     policy: ExecPolicy,
-) -> Completion {
+) -> JobResult {
     let t0 = Instant::now();
+    let done = run_job(index, entry, seed, plan, cache, watch, metrics, policy);
+    let wall = t0.elapsed();
+    metrics.record_finished(done.outcome.is_ok(), done.from_cache, wall);
+    JobResult {
+        index,
+        sensor: entry.id().to_owned(),
+        seed,
+        wall,
+        from_cache: done.from_cache,
+        attempts: done.attempts,
+        injected: done.injected,
+        outcome: done.outcome,
+        integrity: 0,
+    }
+    .sealed()
+}
+
+/// One job's pipeline: realize faults, budget gate, cache probe, then
+/// the attempt loop — simulate behind `catch_unwind`, retry transient
+/// failures with deterministic backoff, memoize successes, meter
+/// everything.
+///
+/// Every branch here is a pure function of `(entry, seed, plan,
+/// policy)` — never of the worker, the attempt wall-clock, or cache
+/// state (the budget gate runs *before* the cache probe so a rejection
+/// cannot depend on what happens to be memoized) — which is what keeps
+/// fleet outcomes identical across worker counts even mid-chaos.
+#[allow(clippy::too_many_arguments)]
+fn run_job(
+    index: usize,
+    entry: &CatalogEntry,
+    seed: u64,
+    plan: Option<&FaultPlan>,
+    cache: Option<&ResultCache>,
+    watch: Option<&WatchRegistry>,
+    metrics: &RuntimeMetrics,
+    policy: ExecPolicy,
+) -> Completion {
     // Realize this job's faults once, up front: realization depends
     // only on (plan, sensor id, job seed), so retries and reruns see
     // the exact same fault set. A plan that realizes nothing for this
@@ -823,15 +816,11 @@ fn execute_job(
         let required = entry.calibration_workload();
         if required > policy.job_budget {
             metrics.record_budget_rejection();
-            let wall = t0.elapsed();
-            metrics.record_finished(false, false, wall);
             return Completion {
-                index,
                 outcome: Err(JobError::Budget {
                     required,
                     budget: policy.job_budget,
                 }),
-                wall,
                 from_cache: false,
                 attempts: 0,
                 injected,
@@ -853,12 +842,8 @@ fn execute_job(
             registry.end(index);
         }
         metrics.record_deadline_kill();
-        let wall = t0.elapsed();
-        metrics.record_finished(false, false, wall);
         return Completion {
-            index,
             outcome: Err(JobError::Deadline),
-            wall,
             from_cache: false,
             attempts: 1,
             injected,
@@ -873,12 +858,8 @@ fn execute_job(
     });
     if let (Some(cache), Some(key)) = (cache, &key) {
         if let Some(hit) = cache.get(key) {
-            let wall = t0.elapsed();
-            metrics.record_finished(true, true, wall);
             return Completion {
-                index,
                 outcome: Ok(hit),
-                wall,
                 from_cache: true,
                 attempts: 0,
                 injected,
@@ -937,12 +918,8 @@ fn execute_job(
         (Some(cache), Some(key)) => cache.insert(key, outcome),
         _ => Arc::new(outcome),
     });
-    let wall = t0.elapsed();
-    metrics.record_finished(outcome.is_ok(), false, wall);
     Completion {
-        index,
         outcome,
-        wall,
         from_cache: false,
         attempts: attempt,
         injected,

@@ -58,7 +58,7 @@ use bios_core::catalog;
 use bios_faults::FaultPlan;
 use bios_gateway::{Disposition, Gateway, GatewayConfig, GatewayCounters, Priority, Request};
 use bios_quorum::{meter, QuorumConfig, QuorumScreen};
-use bios_recover::{RealIo, StorageIo};
+use bios_recover::{Fnv1a, RealIo, StorageIo};
 use bios_runtime::journal::{JournalError, JournalOptions};
 use bios_runtime::{parse_env_value, Fleet, Job, JobError, Runtime, RuntimeConfig};
 
@@ -621,8 +621,8 @@ impl ShardedRuntime {
             .map(|_| (Vec::new(), Vec::new()))
             .collect();
         for job in fleet.jobs() {
-            let key = format!("{} {:016x}", job.entry.id(), job.seed);
-            let shard = (bios_recover::fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize;
+            let key = Fnv1a::hash_fmt(format_args!("{} {:016x}", job.entry.id(), job.seed));
+            let shard = (key % self.shards.len() as u64) as usize;
             let (jobs, orig_of) = &mut parts[shard];
             jobs.push(Job {
                 index: jobs.len(),

@@ -11,6 +11,10 @@ run() {
 }
 
 run cargo build --release --workspace
+# The benchmark is a package of its own that builds `JobResult` and
+# `CacheKey` literals and calls `bios_recover::fnv1a`: a public-API
+# change that breaks it must fail here, not only when it is run.
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
 run cargo test -q --workspace
 # Chaos gate: the hardened runtime must stay deterministic under an
 # armed fault plan (retries, panics, budgets, bounded cache).
