@@ -298,15 +298,15 @@ impl Default for Config {
                 "gateway/src/breaker".into(),
                 // The stream layer's deterministic core: cohort
                 // generation, the tick loop, and epoch swaps all feed
-                // StreamReport::digest, which check.sh pins across
-                // worker counts.
+                // StreamReport::digest, which the gate binary pins
+                // across worker counts.
                 "stream/src/cohort".into(),
                 "stream/src/engine".into(),
                 "stream/src/epoch".into(),
                 // The sharded layer's placement machinery: routing,
                 // quarantine folds, and report merging must stay pure
-                // in (config, trace, tick) or the shard_gate digest
-                // pin across (shard × worker) layouts breaks.
+                // in (config, trace, tick) or the gate binary's shard
+                // digest pin across (shard × worker) layouts breaks.
                 "shard/src/route".into(),
                 "shard/src/supervisor".into(),
                 "shard/src/merge".into(),
@@ -314,7 +314,7 @@ impl Default for Config {
                 // clustering, the majority vote, and the suspect
                 // scoreboard must stay pure in (config, plan, job
                 // stream) or quorum verdicts drift across layouts and
-                // the quorum_gate digest pin breaks.
+                // the gate binary's quorum digest pin breaks.
                 "quorum/src/vote".into(),
                 "quorum/src/suspect".into(),
                 // The simulated disk: fault decisions and surviving-

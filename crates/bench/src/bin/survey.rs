@@ -10,6 +10,7 @@
 
 use std::io::Write;
 
+use bios_bench::torture;
 use bios_core::catalog;
 use bios_core::catalog::CatalogEntry;
 use bios_faults::{FaultKind, FaultPlan};
@@ -215,7 +216,7 @@ fn main() {
 
     // Sharded fleet-of-fleets: the same multi-tenant trace at several
     // (shard count × workers per shard) layouts. The digest is pinned
-    // byte-identical across layouts (the shard_gate contract); the
+    // byte-identical across layouts (the `gate` binary's shard row); the
     // per-layout wall times and steal counts land in the JSON below.
     let shard_trace = tenant_trace(8, 6, 2, 96, None);
     let shard_layouts = [(1usize, 1usize), (4, 2), (8, 2)];
@@ -370,12 +371,21 @@ fn main() {
     // Storage torture (DESIGN.md §17): a compact campaign — both
     // crash sweeps (every op index of the monolithic and sharded
     // reference runs) plus a reduced mixed block — so the JSON
-    // carries the trichotomy counts; `torture_gate` runs the full
-    // campaign under scripts/check.sh.
-    let torture = bios_bench::torture::run_torture(40).unwrap_or_else(|e| {
-        eprintln!("warning: storage torture reference run failed ({e}); reporting zeros");
-        bios_bench::torture::TortureReport::default()
-    });
+    // carries the trichotomy counts; the `gate` binary runs the full
+    // campaign.
+    let torture_fleet = torture::torture_fleet();
+    let torture_golden = torture::golden_digest(&torture_fleet);
+    let torture = match torture::run_torture(&torture_fleet, &torture_golden, 40) {
+        Ok([mut total, sharded, mixed]) => {
+            total.merge(&sharded);
+            total.merge(&mixed);
+            total
+        }
+        Err(e) => {
+            eprintln!("warning: storage torture reference run failed ({e}); reporting zeros");
+            torture::TortureReport::default()
+        }
+    };
     println!(
         "  storage torture: {} schedules ({} crash points): {} recovered, \
          {} degraded, {} typed errors, {} panics, {} divergences",

@@ -11,6 +11,9 @@
 //!   comparison (optionally one block: `glucose`, `lactate`,
 //!   `glutamate`, `cyp`).
 //! * `survey` — the §2 classification registry statistics.
+//! * `ablation` — the ablation studies of EXPERIMENTS.md.
+//! * `gate` — every CI scenario at every layout, each result digest
+//!   pinned to its sibling layouts and to an absolute ledger.
 //!
 //! Wall-clock benches (`cargo bench -p bios-bench`) measure simulation
 //! throughput of the physics kernels, the calibration protocols, and the

@@ -13,19 +13,20 @@
 //!    completed with the correct digest.
 //!
 //! Anything else — a panic or a digest divergence — is a bug, counted
-//! separately so the `torture_gate` binary can assert both stay zero.
+//! separately so the `gate` binary can assert both stay zero.
 //! Every schedule is a pure function of its seed: the same campaign
 //! re-runs byte-identically on any machine.
 //!
-//! Three phases, shared by `torture_gate` and the `survey` JSON block:
+//! [`run_torture`] composes three phases, for the `gate` binary and
+//! the `survey` JSON block alike:
 //!
-//! * [`crash_sweep`] — crash at **every** op index of a reference
+//! * `crash_sweep` — crash at **every** op index of a reference
 //!   monolithic run (create, write, sync, rename, read — each
 //!   boundary), reboot, resume; must recover every time.
-//! * [`sharded_crash_sweep`] — the same sweep over a
+//! * `sharded_crash_sweep` — the same sweep over a
 //!   [`ShardedRuntime`] run with per-shard segments, exercising the
 //!   merged resume (missing and torn-header segments included).
-//! * [`mixed_campaign`] — seeded schedules mixing short writes,
+//! * `mixed_campaign` — seeded schedules mixing short writes,
 //!   `ENOSPC`, failed syncs, and crashes at scripted rates.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -143,7 +144,7 @@ pub fn golden_digest(fleet: &Fleet) -> String {
 /// A human-readable message when even the healthy simulated run fails
 /// or does not match `golden` — the harness itself is then broken and
 /// the gate must fail before sweeping.
-pub fn reference_op_count(fleet: &Fleet, golden: &str) -> Result<u64, String> {
+fn reference_op_count(fleet: &Fleet, golden: &str) -> Result<u64, String> {
     let io = SimIo::perfect(0x7041);
     let report = torture_runtime()
         .run_journaled_on(&io, fleet, sim_path(), JournalOptions::default())
@@ -222,8 +223,7 @@ fn run_one_schedule(fleet: &Fleet, golden: &str, script: IoFaultScript) -> Sched
 /// monolithic journaled run. Every one of these schedules must end in
 /// [`ScheduleOutcome::Recovered`]; the gate asserts
 /// `recoveries == crash_points` for this phase.
-#[must_use]
-pub fn crash_sweep(fleet: &Fleet, golden: &str, reference_ops: u64) -> TortureReport {
+fn crash_sweep(fleet: &Fleet, golden: &str, reference_ops: u64) -> TortureReport {
     let mut report = TortureReport {
         crash_points: reference_ops,
         ..TortureReport::default()
@@ -296,7 +296,7 @@ fn torture_shard_config() -> ShardConfig {
 /// A human-readable message when the healthy sharded reference run
 /// fails or does not match `golden` (broken harness, not a schedule
 /// outcome).
-pub fn sharded_crash_sweep(fleet: &Fleet, golden: &str) -> Result<TortureReport, String> {
+fn sharded_crash_sweep(fleet: &Fleet, golden: &str) -> Result<TortureReport, String> {
     let config = torture_shard_config();
     // Sharded reference run: op count and digest parity.
     let io = SimIo::perfect(0x7042);
@@ -326,13 +326,7 @@ pub fn sharded_crash_sweep(fleet: &Fleet, golden: &str) -> Result<TortureReport,
 /// ([`IoFaultScript::mixed`]: short writes, `ENOSPC`, failed syncs,
 /// and crashes at scripted per-mille rates) over the monolithic run.
 /// Every schedule must land in the trichotomy.
-#[must_use]
-pub fn mixed_campaign(
-    fleet: &Fleet,
-    golden: &str,
-    schedules: u64,
-    base_seed: u64,
-) -> TortureReport {
+fn mixed_campaign(fleet: &Fleet, golden: &str, schedules: u64, base_seed: u64) -> TortureReport {
     let mut report = TortureReport::default();
     for i in 0..schedules {
         report.record(run_one_schedule(
@@ -344,21 +338,27 @@ pub fn mixed_campaign(
     report
 }
 
-/// The full campaign: monolithic crash sweep + sharded crash sweep +
-/// `mixed_schedules` mixed-fault schedules, merged into one report.
+/// The full campaign against `fleet` and its [`golden_digest`]: the
+/// monolithic crash sweep, the sharded crash sweep, and
+/// `mixed_schedules` mixed-fault schedules, returned per phase in that
+/// order. Each crash sweep must recover every schedule; fold the three
+/// with [`TortureReport::merge`] for the campaign totals.
 ///
 /// # Errors
 ///
-/// As [`reference_op_count`] / [`sharded_crash_sweep`]: the harness's
-/// own healthy reference runs failed, so no campaign ran.
-pub fn run_torture(mixed_schedules: u64) -> Result<TortureReport, String> {
-    let fleet = torture_fleet();
-    let golden = golden_digest(&fleet);
-    let ops = reference_op_count(&fleet, &golden)?;
-    let mut report = crash_sweep(&fleet, &golden, ops);
-    report.merge(&sharded_crash_sweep(&fleet, &golden)?);
-    report.merge(&mixed_campaign(&fleet, &golden, mixed_schedules, 0x70B7));
-    Ok(report)
+/// A human-readable message when the harness's own healthy reference
+/// runs fail or miss `golden`; no campaign ran.
+pub fn run_torture(
+    fleet: &Fleet,
+    golden: &str,
+    mixed_schedules: u64,
+) -> Result<[TortureReport; 3], String> {
+    let ops = reference_op_count(fleet, golden)?;
+    Ok([
+        crash_sweep(fleet, golden, ops),
+        sharded_crash_sweep(fleet, golden)?,
+        mixed_campaign(fleet, golden, mixed_schedules, 0x70B7),
+    ])
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 //! [`bios_runtime::JobStream::submit_on`]) and admission state is
 //! per-tenant, so [`ShardedReport::digest`] is **byte-identical at
 //! any (shard count × worker count)** — even mid-quarantine. CI pins
-//! this with the `shard_gate` binary.
+//! this with the `bios-bench` `gate` binary.
 //!
 //! ```
 //! use bios_shard::{tenant_trace, ShardConfig, ShardedGateway};
