@@ -403,7 +403,7 @@ fn main() {
     // diffs between runs are line-stable; bump `schema_version` whenever
     // a key is added, removed, or reordered.
     let json = format!(
-        "{{\n  \"schema_version\": 8,\n  \
+        "{{\n  \"schema_version\": 9,\n  \
          \"workers\": {},\n  \"available_cores\": {},\n  \"physical_cores\": {},\n  \
          \"jobs\": {},\n  \
          \"sequential_secs\": {:.6},\n  \"concurrent_secs\": {:.6},\n  \

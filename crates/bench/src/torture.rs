@@ -31,12 +31,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bios_core::catalog;
-use bios_recover::{is_sim_crash, IoFaultScript, SimIo, StorageIo};
+use bios_recover::{is_sim_crash, IoFaultScript, SimIo};
 use bios_runtime::journal::JournalError;
-use bios_runtime::{Fleet, JournalOptions, Runtime, RuntimeConfig};
+use bios_runtime::{Fleet, Runtime, RuntimeConfig};
 use bios_shard::{ShardConfig, ShardedRuntime};
 
 /// How one fault schedule terminated.
@@ -117,22 +118,26 @@ pub fn torture_fleet() -> Fleet {
         .build()
 }
 
-/// A fresh runtime per schedule: metrics (`journal_lost`) must belong
-/// to exactly one run, and the memo cache must not leak digests across
-/// schedules.
-fn torture_runtime() -> Runtime {
-    Runtime::new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_cache(false)
-            .with_retry_backoff(Duration::from_micros(10)),
-    )
+/// The torture runtime's config: no memo cache, so digests cannot
+/// leak across schedules.
+fn torture_config() -> RuntimeConfig {
+    RuntimeConfig::default()
+        .with_workers(2)
+        .with_cache(false)
+        .with_retry_backoff(Duration::from_micros(10))
+}
+
+/// A fresh runtime per schedule on a handle of `io` (clones share the
+/// disk, so the caller keeps `io` to reboot it and count its ops):
+/// metrics (`journal_lost`) must belong to exactly one run.
+fn torture_runtime(io: &SimIo) -> Runtime {
+    Runtime::with_storage(torture_config(), Arc::new(io.clone()))
 }
 
 /// The golden digest: an uninterrupted, un-journaled run.
 #[must_use]
 pub fn golden_digest(fleet: &Fleet) -> String {
-    torture_runtime().run(fleet).summaries_digest()
+    Runtime::new(torture_config()).run(fleet).summaries_digest()
 }
 
 /// Runs the fleet journaled on a healthy simulated disk and returns
@@ -146,8 +151,8 @@ pub fn golden_digest(fleet: &Fleet) -> String {
 /// the gate must fail before sweeping.
 fn reference_op_count(fleet: &Fleet, golden: &str) -> Result<u64, String> {
     let io = SimIo::perfect(0x7041);
-    let report = torture_runtime()
-        .run_journaled_on(&io, fleet, sim_path(), JournalOptions::default())
+    let report = torture_runtime(&io)
+        .run_journaled(fleet, sim_path())
         .map_err(|e| format!("healthy simulated run failed: {e}"))?;
     if report.summaries_digest() != golden {
         return Err("healthy SimIo run does not match the golden digest".to_owned());
@@ -172,15 +177,15 @@ fn is_crash_error(e: &JournalError) -> bool {
 /// journal; when the crash predated the durable header (`NotFound`,
 /// `BadMagic`, `HeaderMissing` — nothing trustworthy on disk), run
 /// fresh. Any other error is the typed-error arm.
-fn resume_or_fresh(io: &dyn StorageIo, fleet: &Fleet, path: &Path) -> Result<String, JournalError> {
-    let runtime = torture_runtime();
-    match runtime.resume_on(io, fleet, path) {
+fn resume_or_fresh(io: &SimIo, fleet: &Fleet, path: &Path) -> Result<String, JournalError> {
+    let runtime = torture_runtime(io);
+    match runtime.resume(fleet, path) {
         Ok(report) => Ok(report.summaries_digest().to_string()),
         Err(JournalError::BadMagic | JournalError::HeaderMissing) => runtime
-            .run_journaled_on(io, fleet, path, JournalOptions::default())
+            .run_journaled(fleet, path)
             .map(|r| r.summaries_digest()),
         Err(JournalError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => runtime
-            .run_journaled_on(io, fleet, path, JournalOptions::default())
+            .run_journaled(fleet, path)
             .map(|r| r.summaries_digest()),
         Err(e) => Err(e),
     }
@@ -191,8 +196,8 @@ fn run_one_schedule(fleet: &Fleet, golden: &str, script: IoFaultScript) -> Sched
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let io = SimIo::new(script);
         let path = sim_path();
-        let runtime = torture_runtime();
-        match runtime.run_journaled_on(&io, fleet, &path, JournalOptions::default()) {
+        let runtime = torture_runtime(&io);
+        match runtime.run_journaled(fleet, &path) {
             Ok(report) => {
                 if report.summaries_digest() != golden {
                     return ScheduleOutcome::Diverged;
@@ -249,8 +254,9 @@ fn run_one_sharded_schedule(
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let io = SimIo::new(script);
         let dir = sim_dir();
-        let sharded = ShardedRuntime::new(config);
-        match sharded.run_journaled_on(&io, fleet, &dir) {
+        let on_disk = || ShardedRuntime::with_storage(config, Arc::new(io.clone()));
+        let sharded = on_disk();
+        match sharded.run_journaled(fleet, &dir) {
             Ok(report) => {
                 if report.summaries_digest() != golden {
                     return ScheduleOutcome::Diverged;
@@ -267,7 +273,7 @@ fn run_one_sharded_schedule(
             }
             Err(e) if is_crash_error(&e) => {
                 io.reboot();
-                match ShardedRuntime::new(config).resume_on(&io, fleet, &dir) {
+                match on_disk().resume(fleet, &dir) {
                     Ok(report) if report.summaries_digest() == golden => ScheduleOutcome::Recovered,
                     Ok(_) => ScheduleOutcome::Diverged,
                     Err(_) => ScheduleOutcome::TypedError,
@@ -300,8 +306,8 @@ fn sharded_crash_sweep(fleet: &Fleet, golden: &str) -> Result<TortureReport, Str
     let config = torture_shard_config();
     // Sharded reference run: op count and digest parity.
     let io = SimIo::perfect(0x7042);
-    let reference = ShardedRuntime::new(&config)
-        .run_journaled_on(&io, fleet, sim_dir())
+    let reference = ShardedRuntime::with_storage(&config, Arc::new(io.clone()))
+        .run_journaled(fleet, sim_dir())
         .map_err(|e| format!("healthy sharded run failed: {e}"))?;
     if reference.summaries_digest() != golden {
         return Err("healthy sharded SimIo run does not match the golden digest".to_owned());

@@ -302,8 +302,8 @@ impl RequestOutcome {
     }
 }
 
-/// The six overload counters, mirrored into the runtime's
-/// [`bios_runtime::MetricsSnapshot`].
+/// The six overload counters. The gateway owns them; the runtime's
+/// [`bios_runtime::MetricsSnapshot`] counts only runtime events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewayCounters {
     /// Requests rejected because the intake queue was full.
@@ -491,33 +491,26 @@ impl GatewayConfig {
     /// * `BIOS_GATEWAY_QPS` — whole tokens refilled per tick, > 0.
     /// * `BIOS_BREAKER_THRESHOLD` — consecutive failures to trip, > 0.
     ///
-    /// Malformed values produce one deterministic warning line on
-    /// stderr (via [`bios_runtime::parse_env_value`]) and keep the
-    /// default, same as [`bios_runtime::RuntimeConfig::from_env`].
+    /// Malformed and zero values produce one deterministic warning
+    /// line on stderr (via [`bios_runtime::parse_env_positive`]) and
+    /// keep the default, same as
+    /// [`bios_runtime::RuntimeConfig::from_env`].
     #[must_use]
     pub fn from_env() -> GatewayConfig {
-        let mut config = GatewayConfig::default();
-        if let Ok(raw) = std::env::var("BIOS_GATEWAY_QPS") {
-            if let Some(qps) =
-                bios_runtime::parse_env_value::<u64>("BIOS_GATEWAY_QPS", &raw, "a positive integer")
-                    .filter(|&q| q > 0)
-            {
-                config.bucket_refill_milli_per_tick = qps.saturating_mul(TokenBucket::WHOLE_TOKEN);
-                config.bucket_capacity_milli = config
-                    .bucket_capacity_milli
-                    .max(config.bucket_refill_milli_per_tick);
-            }
+        fn positive<T: std::str::FromStr + Default + PartialEq>(name: &str) -> Option<T> {
+            std::env::var(name)
+                .ok()
+                .and_then(|raw| bios_runtime::parse_env_positive(name, &raw))
         }
-        if let Ok(raw) = std::env::var("BIOS_BREAKER_THRESHOLD") {
-            if let Some(t) = bios_runtime::parse_env_value::<u32>(
-                "BIOS_BREAKER_THRESHOLD",
-                &raw,
-                "a positive integer",
-            )
-            .filter(|&t| t > 0)
-            {
-                config.breaker.trip_after = t;
-            }
+        let mut config = GatewayConfig::default();
+        if let Some(qps) = positive::<u64>("BIOS_GATEWAY_QPS") {
+            config.bucket_refill_milli_per_tick = qps.saturating_mul(TokenBucket::WHOLE_TOKEN);
+            config.bucket_capacity_milli = config
+                .bucket_capacity_milli
+                .max(config.bucket_refill_milli_per_tick);
+        }
+        if let Some(t) = positive("BIOS_BREAKER_THRESHOLD") {
+            config.breaker.trip_after = t;
         }
         config
     }
@@ -565,8 +558,8 @@ impl Gateway {
         GatewaySession::new(self)
     }
 
-    /// A snapshot of the owned runtime's metrics, including the six
-    /// gateway overload counters this gateway has recorded into it.
+    /// A snapshot of the owned runtime's metrics. The overload
+    /// counters are the gateway's own: see [`GatewayReport::counters`].
     #[must_use]
     pub fn metrics(&self) -> bios_runtime::MetricsSnapshot {
         self.runtime.metrics_handle().snapshot()
@@ -766,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_mirror_into_the_runtime_metrics_snapshot() {
+    fn overload_counters_stay_in_the_gateway_report() {
         let rt = runtime();
         let config = GatewayConfig {
             bucket_capacity_milli: TokenBucket::WHOLE_TOKEN,
@@ -779,9 +772,9 @@ mod tests {
             .collect();
         let report = gw.run(&reqs);
         assert_eq!(report.counters.rate_limited, 2);
-        let snap = gw.metrics();
-        assert_eq!(snap.rate_limited, 2, "counters mirror runtime-side");
-        assert_eq!(snap.admission_rejected, 0);
+        assert_eq!(report.counters.admission_rejected, 0);
+        // The runtime only saw the one admitted job.
+        assert_eq!(gw.metrics().jobs_submitted, 1);
     }
 
     #[test]

@@ -274,7 +274,6 @@ impl<'g> GatewaySession<'g> {
     /// free service slots dispatch queued work (recalibration class
     /// first).
     fn process_tick(&mut self, tick: u64, terminal: &mut Vec<RequestOutcome>) {
-        let metrics = self.gateway.runtime().metrics_handle();
         let config = self.gateway.config();
         self.last_tick = Some(tick);
         if self.drained_tick.is_none() {
@@ -304,7 +303,6 @@ impl<'g> GatewaySession<'g> {
             match breaker_verdict(&result) {
                 Some(ok) if breaker.on_result(ok, fin.probe, tick) => {
                     self.counters.breaker_trips += 1;
-                    metrics.record_breaker_trip();
                 }
                 Some(_) => {}
                 None if fin.probe => breaker.cancel_probe(),
@@ -312,9 +310,8 @@ impl<'g> GatewaySession<'g> {
             }
             if let Some(screen) = self.quorum.as_mut() {
                 let critical = self.requests[fin.idx].is_recalibration();
-                if let Some(verdict) = screen.screen_result(self.plan.as_ref(), &result, critical) {
-                    bios_quorum::meter(&verdict, &metrics);
-                }
+                // The verdict is tallied in the screen's own summary.
+                let _ = screen.screen_result(self.plan.as_ref(), &result, critical);
             }
             self.drained_tick = Some(
                 self.drained_tick
@@ -350,7 +347,6 @@ impl<'g> GatewaySession<'g> {
                 bucket.advance_to(tick);
                 if !bucket.try_take(TokenBucket::WHOLE_TOKEN) {
                     self.counters.rate_limited += 1;
-                    metrics.record_rate_limited();
                     self.outcomes[idx] = Some(Disposition::Rejected(Rejected::RateLimited));
                     terminal.push(self.outcome_of(idx));
                     continue;
@@ -359,7 +355,6 @@ impl<'g> GatewaySession<'g> {
             let req = &self.requests[idx];
             if self.routine.len() + self.recal.len() >= config.queue_capacity.max(1) {
                 self.counters.admission_rejected += 1;
-                metrics.record_admission_rejected();
                 self.outcomes[idx] = Some(Disposition::Rejected(Rejected::QueueFull));
                 terminal.push(self.outcome_of(idx));
                 continue;
@@ -376,7 +371,6 @@ impl<'g> GatewaySession<'g> {
                 }
                 Admission::Probe => {
                     self.counters.breaker_half_open_probes += 1;
-                    metrics.record_breaker_half_open_probe();
                     self.probes.insert(idx);
                 }
                 Admission::Admit => {}
@@ -423,7 +417,6 @@ impl<'g> GatewaySession<'g> {
                     let thin_ticks = self.gateway.service_ticks(thin.calibration_workload());
                     if thin_ticks <= remaining && thin_ticks < full_ticks {
                         self.counters.browned_out += 1;
-                        metrics.record_browned_out();
                         Some((thin, Quality::Degraded, thin_ticks))
                     } else if fits_full {
                         // Pressured, but degradation cannot shrink this
@@ -452,7 +445,6 @@ impl<'g> GatewaySession<'g> {
                 }
                 None => {
                     self.counters.deadline_shed += 1;
-                    metrics.record_deadline_shed();
                     if self.probes.remove(&idx) {
                         let family = self.requests[idx].family().to_owned();
                         if let Some(b) = self.breakers.get_mut(&family) {
@@ -491,18 +483,7 @@ impl<'g> GatewaySession<'g> {
                             || (String::from("unknown"), 0),
                             |r| (req[r.idx].entry.id().to_owned(), req[r.idx].seed),
                         );
-                    return JobResult {
-                        index: ticket as usize,
-                        sensor,
-                        seed,
-                        wall: std::time::Duration::ZERO,
-                        from_cache: false,
-                        attempts: 0,
-                        injected: bios_faults::FaultTally::default(),
-                        outcome: Err(bios_runtime::JobError::Panicked("stream closed".into())),
-                        integrity: 0,
-                    }
-                    .sealed();
+                    return JobResult::lost(ticket as usize, sensor, seed, "stream closed");
                 }
             }
         }

@@ -59,7 +59,7 @@ pub mod vote;
 use bios_analytics::CalibrationSummary;
 use bios_faults::{FaultKind, FaultPlan};
 use bios_recover::Fnv1a;
-use bios_runtime::{JobResult, RuntimeMetrics};
+use bios_runtime::JobResult;
 
 pub use suspect::SuspectBoard;
 pub use vote::{Ballot, Tolerance};
@@ -204,7 +204,7 @@ pub struct ScreenVerdict {
 /// value is the ballot honest lanes observe — so the committed bytes,
 /// and with them every digest, are independent of whether the screen
 /// is armed. What arming changes is *observability*: disagreements,
-/// catches, and quarantines are metered and surfaced.
+/// catches, and quarantines are counted in its [`QuorumSummary`].
 #[derive(Debug, Clone)]
 pub struct QuorumScreen {
     config: QuorumConfig,
@@ -368,19 +368,6 @@ impl QuorumScreen {
         self.summary.escaped += u64::from(verdict.escaped);
         self.summary.quarantined += verdict.quarantined.len() as u64;
         Some(verdict)
-    }
-}
-
-/// Folds one verdict into the runtime's metrics registry — the same
-/// counters `RuntimeMetrics::to_json` exports for scrapes.
-pub fn meter(verdict: &ScreenVerdict, metrics: &RuntimeMetrics) {
-    metrics.record_quorum_vote();
-    if verdict.disagreement {
-        metrics.record_disagreement();
-    }
-    metrics.record_corruption_caught(u64::from(verdict.caught));
-    for _ in &verdict.quarantined {
-        metrics.record_suspect_quarantined();
     }
 }
 

@@ -354,6 +354,26 @@ impl JobResult {
         self
     }
 
+    /// The sealed failure reported for a job whose result never
+    /// arrived: its worker died harder than `catch_unwind` can contain
+    /// (a stack overflow abort), or the OS refused replacement threads.
+    /// `reason` becomes the [`JobError::Panicked`] message.
+    #[must_use]
+    pub fn lost(index: usize, sensor: String, seed: u64, reason: &str) -> JobResult {
+        JobResult {
+            index,
+            sensor,
+            seed,
+            wall: Duration::ZERO,
+            from_cache: false,
+            attempts: 0,
+            injected: FaultTally::default(),
+            outcome: Err(JobError::Panicked(reason.to_owned())),
+            integrity: 0,
+        }
+        .sealed()
+    }
+
     /// Whether the payload still matches its produce-time checksum.
     /// `false` means the result was corrupted somewhere between the
     /// worker that computed it and this hop — it must not be cached,

@@ -37,12 +37,12 @@ use std::path::Path;
 use bios_recover::codec::CodecError;
 use bios_recover::fnv1a;
 use bios_recover::journal::{Disposition, JournalReader, JournalWriter, Record, RunHeader};
-use bios_recover::sim::{is_sim_crash, RealIo, StorageIo};
+use bios_recover::sim::is_sim_crash;
 
 pub use bios_recover::journal::JournalError;
 
 use crate::fleet::{Fleet, FleetOutcome, FleetReport, Job, JobResult};
-use crate::Runtime;
+use crate::{Runtime, RuntimeMetrics};
 
 /// Whether a journal error is a simulated process crash — the one IO
 /// failure that must *not* be absorbed by graceful degradation: the
@@ -118,18 +118,133 @@ fn tally(outcome: &mut FleetOutcome, disposition: Disposition) {
     }
 }
 
+/// The one write-ahead sink both journaled paths feed, and so the one
+/// place the storage trichotomy (DESIGN.md §17) is decided for an
+/// append or a seal:
+///
+/// * a result whose produce-time checksum no longer matches is refused
+///   ([`JournalError::Corrupt`]) — corruption never becomes durable;
+/// * an append or seal that fails past the writer's bounded retries
+///   *retires* the journal: `journal_lost` increments and the fleet
+///   finishes non-durably with the correct digest;
+/// * a simulated crash propagates — the "process" is dead, and resume
+///   runs against the surviving bytes.
+///
+/// Records and IO retries are metered once, when the writer retires
+/// or seals.
+struct JournalSink<'rt> {
+    metrics: &'rt RuntimeMetrics,
+    /// `None` once retired (or when no journal could be opened).
+    writer: Option<JournalWriter>,
+    /// The first crash or integrity failure; later results are ignored.
+    fatal: Option<JournalError>,
+    /// `JobDone` records appended by this sink.
+    appended: u64,
+    /// [`JournalOptions::crash_after_jobs`].
+    crash_after_jobs: Option<u64>,
+}
+
+impl<'rt> JournalSink<'rt> {
+    fn new(
+        metrics: &'rt RuntimeMetrics,
+        writer: Option<JournalWriter>,
+        crash_after_jobs: Option<u64>,
+    ) -> JournalSink<'rt> {
+        JournalSink {
+            metrics,
+            writer,
+            fatal: None,
+            appended: 0,
+            crash_after_jobs,
+        }
+    }
+
+    /// Write-ahead point for one completed result, journaled under the
+    /// fleet index `index`.
+    fn append(&mut self, index: u64, result: &JobResult) {
+        if self.fatal.is_some() {
+            return; // the run is already doomed; don't pile on
+        }
+        // End-to-end integrity: the checksum stamped when the result
+        // was produced must still match its payload at the
+        // journal-append hop. A mismatch means the result mutated in
+        // flight — refuse to make the corruption durable.
+        if !result.verify_integrity() {
+            self.metrics.record_corruption_caught(1);
+            self.fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
+                stored: result.integrity,
+                computed: result.payload_checksum(),
+            }));
+            return;
+        }
+        let Some(w) = self.writer.as_mut() else {
+            return; // journal retired: non-durable mode
+        };
+        let record = Record::job_done(
+            index,
+            disposition_of(result),
+            u64::from(result.attempts),
+            result.digest_line(),
+        );
+        match w.append(&record) {
+            Ok(()) => {
+                self.appended += 1;
+                if self.crash_after_jobs == Some(self.appended) {
+                    // The record above is flushed: die exactly as hard
+                    // as `kill -9` would, leaving the journal for
+                    // `resume` to pick up.
+                    std::process::abort();
+                }
+            }
+            Err(e) if is_crash(&e) => self.fatal = Some(e),
+            // Transient retries exhausted or the disk is full: retire
+            // the journal and let the fleet finish non-durably.
+            Err(_) => {
+                meter_writer(self.metrics, w, true);
+                self.writer = None;
+            }
+        }
+    }
+
+    /// Ends the run: a recorded crash or integrity failure wins;
+    /// otherwise a live journal is sealed with `jobs` and the digest
+    /// FNV (a failed seal retires it).
+    fn seal(self, jobs: u64, digest_fnv: u64) -> Result<(), JournalError> {
+        if let Some(e) = self.fatal {
+            return Err(e);
+        }
+        let Some(mut w) = self.writer else {
+            return Ok(());
+        };
+        match w.seal(jobs, digest_fnv) {
+            Ok(()) => meter_writer(self.metrics, &w, false),
+            Err(e) if is_crash(&e) => return Err(e),
+            Err(_) => meter_writer(self.metrics, &w, true),
+        }
+        Ok(())
+    }
+}
+
+/// Meters a finished writer's records and IO retries; `retired` also
+/// counts the journal as lost.
+fn meter_writer(metrics: &RuntimeMetrics, w: &JournalWriter, retired: bool) {
+    metrics.record_journal_records(w.records_written());
+    metrics.record_journal_retries(w.io_retries());
+    if retired {
+        metrics.record_journal_lost();
+    }
+}
+
 impl Runtime {
-    /// [`Runtime::run`] with a write-ahead journal at `path`: every
-    /// result is durably recorded *before* it is surfaced, and the
-    /// journal is sealed when the fleet completes. A run killed
-    /// mid-fleet leaves a valid, resumable journal behind — hand it to
-    /// [`Runtime::resume`].
+    /// [`Runtime::run`] with a write-ahead journal at `path` on the
+    /// runtime's storage: every result is durably recorded *before* it
+    /// is surfaced, and the journal is sealed when the fleet completes.
+    /// A run killed mid-fleet leaves a valid, resumable journal behind
+    /// — hand it to [`Runtime::resume`].
     ///
     /// # Errors
     ///
-    /// [`JournalError::Io`] when the journal cannot be created or
-    /// appended; the write-ahead contract is broken at that point, so
-    /// the error wins even though the fleet itself ran.
+    /// As [`Runtime::run_journaled_with`].
     pub fn run_journaled(
         &self,
         fleet: &Fleet,
@@ -139,42 +254,18 @@ impl Runtime {
     }
 
     /// [`Runtime::run_journaled`] with explicit [`JournalOptions`].
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::Io`] when the journal cannot be created,
-    /// appended, or sealed.
-    pub fn run_journaled_with(
-        &self,
-        fleet: &Fleet,
-        path: impl AsRef<Path>,
-        options: JournalOptions,
-    ) -> Result<FleetReport, JournalError> {
-        self.run_journaled_on(&RealIo, fleet, path, options)
-    }
-
-    /// [`Runtime::run_journaled_with`] on an explicit storage backend
-    /// — the seam the torture gate injects [`bios_recover::SimIo`]
-    /// through.
-    ///
-    /// Failure policy (the trichotomy the torture gate asserts):
-    ///
-    /// * the journal cannot be **created** → typed error; nothing ran;
-    /// * an **append or seal** fails after bounded transient retries →
-    ///   the journal is *retired*: the `journal_lost` metric
-    ///   increments and the fleet completes non-durably with the
-    ///   correct digest (graceful degradation);
-    /// * a simulated **crash** → the error propagates (the process is
-    ///   dead); resume against the surviving bytes.
+    /// A journal that cannot be **created** is a typed error and
+    /// nothing runs; append and seal failures follow the sink's
+    /// trichotomy (retire and finish non-durably, or propagate a
+    /// simulated crash).
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on create failure or simulated crash;
     /// [`JournalError::Corrupt`] when a result fails its in-flight
     /// integrity check.
-    pub fn run_journaled_on(
+    pub fn run_journaled_with(
         &self,
-        io: &dyn StorageIo,
         fleet: &Fleet,
         path: impl AsRef<Path>,
         options: JournalOptions,
@@ -184,90 +275,25 @@ impl Runtime {
             fingerprint: fleet.fingerprint(),
             jobs: fleet.len() as u64,
         };
-        let mut writer = Some(JournalWriter::create_with(io, path.as_ref(), &header)?);
-        let mut fatal: Option<JournalError> = None;
-        let mut jobs_done = 0u64;
-        let mut retired: Option<(u64, u64)> = None; // (records, retries)
+        let writer = JournalWriter::create_with(self.storage.as_ref(), path.as_ref(), &header)?;
+        let mut sink = JournalSink::new(&self.metrics, Some(writer), options.crash_after_jobs);
         let report = self.run_with_observer(fleet, |result| {
-            if fatal.is_some() {
-                return; // the run is already doomed; don't pile on
-            }
-            // End-to-end integrity: the checksum stamped when the
-            // result was produced must still match its payload at the
-            // journal-append hop. A mismatch means the result mutated
-            // in flight — refuse to make the corruption durable.
-            if !result.verify_integrity() {
-                self.metrics.record_corruption_caught(1);
-                fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
-                    stored: result.integrity,
-                    computed: result.payload_checksum(),
-                }));
-                return;
-            }
-            let Some(w) = writer.as_mut() else {
-                return; // journal retired: non-durable mode
-            };
-            let record = Record::job_done(
-                result.index as u64,
-                disposition_of(result),
-                u64::from(result.attempts),
-                result.digest_line(),
-            );
-            match w.append(&record) {
-                Ok(()) => {
-                    jobs_done += 1;
-                    if options.crash_after_jobs == Some(jobs_done) {
-                        // The record above is flushed: die exactly as
-                        // hard as `kill -9` would, leaving the journal
-                        // for `resume` to pick up.
-                        std::process::abort();
-                    }
-                }
-                Err(e) if is_crash(&e) => fatal = Some(e),
-                Err(_) => {
-                    // Transient retries exhausted or the disk is full:
-                    // retire the journal, meter the loss, and let the
-                    // fleet finish non-durably.
-                    retired = Some((w.records_written(), w.io_retries()));
-                    self.metrics.record_journal_lost();
-                    writer = None;
-                }
-            }
+            sink.append(result.index as u64, result);
         });
-        if let Some(e) = fatal {
-            return Err(e);
-        }
-        let digest = fnv1a(report.summaries_digest().as_bytes());
-        match writer.as_mut() {
-            Some(w) => match w.seal(jobs_done, digest) {
-                Ok(()) => {
-                    self.metrics.record_journal_records(w.records_written());
-                    self.metrics.record_journal_retries(w.io_retries());
-                }
-                Err(e) if is_crash(&e) => return Err(e),
-                Err(_) => {
-                    self.metrics.record_journal_records(w.records_written());
-                    self.metrics.record_journal_retries(w.io_retries());
-                    self.metrics.record_journal_lost();
-                }
-            },
-            None => {
-                if let Some((records, retries)) = retired {
-                    self.metrics.record_journal_records(records);
-                    self.metrics.record_journal_retries(retries);
-                }
-            }
-        }
+        let jobs = sink.appended;
+        sink.seal(jobs, fnv1a(report.summaries_digest().as_bytes()))?;
         Ok(report)
     }
 
-    /// Resumes a journaled run: verifies the journal belongs to `fleet`
-    /// (fingerprint over sensors, protocols, seeds, and fault plan),
-    /// skips every job the journal already holds, executes only the
-    /// remainder, appends their records, and seals. The merged digest
-    /// is byte-identical to an uninterrupted run at any worker count.
-    /// A journal that is already sealed replays without executing
-    /// anything.
+    /// Resumes a journaled run from the runtime's storage: verifies
+    /// the journal belongs to `fleet` (fingerprint over sensors,
+    /// protocols, seeds, and fault plan), skips every job the journal
+    /// already holds, executes only the remainder, appends their
+    /// records, and seals. The merged digest is byte-identical to an
+    /// uninterrupted run at any worker count. A journal that is already
+    /// sealed replays without executing anything; a failed re-open
+    /// retires the journal (the remainder still runs, metered by
+    /// `journal_lost`).
     ///
     /// # Errors
     ///
@@ -275,31 +301,13 @@ impl Runtime {
     ///   [`JournalError::Corrupt`] — the file is not a usable journal;
     /// * [`JournalError::FingerprintMismatch`] — the journal belongs to
     ///   a different run and resuming would alias its results;
-    /// * [`JournalError::Io`] — filesystem failure.
+    /// * [`JournalError::Io`] — storage failure or simulated crash.
     pub fn resume(
         &self,
         fleet: &Fleet,
         path: impl AsRef<Path>,
     ) -> Result<ResumeReport, JournalError> {
-        self.resume_on(&RealIo, fleet, path)
-    }
-
-    /// [`Runtime::resume`] on an explicit storage backend. The resume
-    /// side of the trichotomy: an unreadable/foreign journal is a
-    /// typed error, a failed re-open or append *retires* the journal
-    /// (the remainder still executes and merges to the correct
-    /// digest, metered by `journal_lost`), and a simulated crash
-    /// propagates.
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::resume`].
-    pub fn resume_on(
-        &self,
-        io: &dyn StorageIo,
-        fleet: &Fleet,
-        path: impl AsRef<Path>,
-    ) -> Result<ResumeReport, JournalError> {
+        let io = self.storage.as_ref();
         let path = path.as_ref();
         let loaded = JournalReader::load_with(io, path)?;
         // A corrupt *body* record is not the benign torn tail a crash
@@ -327,11 +335,30 @@ impl Runtime {
         }
         self.metrics.record_resumed_jobs(done.len() as u64);
 
+        // A sealed journal is terminal — it replays as-is, never
+        // re-executes, and is never reopened. Otherwise reopen it for
+        // the remainder's records and the seal (even when nothing is
+        // left: a crash after the last `JobDone` still needs the seal).
+        let writer = if loaded.sealed {
+            None
+        } else {
+            match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
+                Ok(w) => Some(w),
+                Err(e) if is_crash(&e) => return Err(e),
+                Err(_) => {
+                    // The journal survived the crash but the disk now
+                    // refuses the re-open: execute the remainder
+                    // non-durably rather than losing the run.
+                    self.metrics.record_journal_lost();
+                    None
+                }
+            }
+        };
+        let mut sink = JournalSink::new(&self.metrics, writer, None);
+
         // Build the not-yet-journaled remainder as a dense sub-fleet
         // (the runtime collects by index, so indexes must be 0..k) and
-        // keep the mapping back to original fleet indexes. A sealed
-        // journal is terminal — it replays as-is, never re-executes —
-        // so the remainder is empty by construction.
+        // keep the mapping back to original fleet indexes.
         let mut orig_of: Vec<usize> = Vec::new();
         let mut sub_jobs: Vec<Job> = Vec::new();
         if !loaded.sealed {
@@ -346,75 +373,24 @@ impl Runtime {
                 }
             }
         }
-
-        let fresh = if sub_jobs.is_empty() {
-            None
-        } else {
-            let sub_fleet = fleet.with_jobs(sub_jobs);
-            let mut writer = match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
-                Ok(w) => Some(w),
-                Err(e) if is_crash(&e) => return Err(e),
-                Err(_) => {
-                    // The journal survived the crash but the disk now
-                    // refuses the re-open: execute the remainder
-                    // non-durably rather than losing the run.
-                    self.metrics.record_journal_lost();
-                    None
-                }
-            };
-            let mut fatal: Option<JournalError> = None;
-            let report = self.run_with_observer(&sub_fleet, |result| {
-                if fatal.is_some() {
-                    return;
-                }
-                if !result.verify_integrity() {
-                    self.metrics.record_corruption_caught(1);
-                    fatal = Some(JournalError::Corrupt(CodecError::ChecksumMismatch {
-                        stored: result.integrity,
-                        computed: result.payload_checksum(),
-                    }));
-                    return;
-                }
-                let Some(w) = writer.as_mut() else {
-                    return; // journal retired: non-durable mode
-                };
-                let record = Record::job_done(
-                    // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
-                    orig_of[result.index] as u64,
-                    disposition_of(result),
-                    u64::from(result.attempts),
-                    result.digest_line(),
-                );
-                match w.append(&record) {
-                    Ok(()) => {}
-                    Err(e) if is_crash(&e) => fatal = Some(e),
-                    Err(_) => {
-                        self.metrics.record_journal_records(w.records_written());
-                        self.metrics.record_journal_retries(w.io_retries());
-                        self.metrics.record_journal_lost();
-                        writer = None;
-                    }
-                }
-            });
-            if let Some(e) = fatal {
-                return Err(e);
-            }
-            Some((writer, report))
-        };
+        let fresh = (!sub_jobs.is_empty()).then(|| {
+            self.run_with_observer(&fleet.with_jobs(sub_jobs), |result| {
+                // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
+                sink.append(orig_of[result.index] as u64, result);
+            })
+        });
 
         // Merge journaled and fresh results into index order.
+        let mut fresh_lines: BTreeMap<usize, (Disposition, String)> = BTreeMap::new();
+        for result in fresh.iter().flat_map(|report| &report.results) {
+            fresh_lines.insert(
+                // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
+                orig_of[result.index],
+                (disposition_of(result), result.digest_line()),
+            );
+        }
         let mut outcome = FleetOutcome::default();
         let mut digest = String::new();
-        let mut fresh_lines: BTreeMap<usize, (Disposition, String)> = BTreeMap::new();
-        if let Some((_, report)) = &fresh {
-            for result in &report.results {
-                fresh_lines.insert(
-                    // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
-                    orig_of[result.index],
-                    (disposition_of(result), result.digest_line()),
-                );
-            }
-        }
         for job in fleet.jobs() {
             let (disposition, line) = match done.get(&(job.index as u64)) {
                 Some(journaled) => (journaled.disposition, journaled.digest_line.clone()),
@@ -428,56 +404,12 @@ impl Runtime {
             digest.push_str(&line);
             digest.push('\n');
         }
-
-        let executed_jobs = orig_of.len();
-        let fresh = match fresh {
-            Some((writer, report)) => {
-                if let Some(mut w) = writer {
-                    match w.seal(fleet.len() as u64, fnv1a(digest.as_bytes())) {
-                        Ok(()) => {
-                            self.metrics.record_journal_records(w.records_written());
-                            self.metrics.record_journal_retries(w.io_retries());
-                        }
-                        Err(e) if is_crash(&e) => return Err(e),
-                        Err(_) => {
-                            self.metrics.record_journal_records(w.records_written());
-                            self.metrics.record_journal_retries(w.io_retries());
-                            self.metrics.record_journal_lost();
-                        }
-                    }
-                }
-                Some(report)
-            }
-            None => {
-                // Crash landed after the last JobDone but before the
-                // seal: nothing to execute, but seal now so the next
-                // resume is a pure terminal replay.
-                if !loaded.sealed {
-                    match JournalWriter::open_resume_with(io, path, loaded.valid_len) {
-                        Ok(mut w) => match w.seal(fleet.len() as u64, fnv1a(digest.as_bytes())) {
-                            Ok(()) => {
-                                self.metrics.record_journal_records(w.records_written());
-                                self.metrics.record_journal_retries(w.io_retries());
-                            }
-                            Err(e) if is_crash(&e) => return Err(e),
-                            Err(_) => {
-                                self.metrics.record_journal_records(w.records_written());
-                                self.metrics.record_journal_retries(w.io_retries());
-                                self.metrics.record_journal_lost();
-                            }
-                        },
-                        Err(e) if is_crash(&e) => return Err(e),
-                        Err(_) => self.metrics.record_journal_lost(),
-                    }
-                }
-                None
-            }
-        };
+        sink.seal(fleet.len() as u64, fnv1a(digest.as_bytes()))?;
         Ok(ResumeReport {
             fleet: fleet.name().to_owned(),
             total_jobs: fleet.len(),
             resumed_jobs: done.len(),
-            executed_jobs,
+            executed_jobs: orig_of.len(),
             outcome,
             fresh,
             digest,

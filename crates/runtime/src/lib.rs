@@ -77,6 +77,7 @@ use std::time::{Duration, Instant};
 use bios_core::catalog::{CalibrationOutcome, CatalogEntry};
 use bios_electrochem::diffusion::DiffusionGrid;
 use bios_faults::{FaultPlan, FaultTally};
+use bios_recover::{RealIo, StorageIo};
 use bios_units::{DiffusionCoefficient, Molar, Seconds};
 
 use crate::watchdog::{WatchRegistry, Watchdog};
@@ -189,31 +190,30 @@ impl RuntimeConfig {
     /// the default and prints one deterministic warning line to stderr
     /// (see [`parse_env_value`]).
     ///
-    /// `BIOS_CACHE_CAP` must be **positive**. In
+    /// `BIOS_WORKERS` and `BIOS_CACHE_CAP` must be **positive**, and a
+    /// `0` is warned about and ignored like a malformed value (see
+    /// [`parse_env_positive`]). For the cache this matters: in
     /// [`RuntimeConfig::with_cache_capacity`] a capacity of 0 means
     /// *unbounded*, but an operator writing `BIOS_CACHE_CAP=0` almost
-    /// always means *disabled* — the opposite. Rather than guess, a
-    /// zero value is rejected with the same style of stderr warning as
-    /// a malformed one, and the default capacity is kept; disable
-    /// memoization with [`RuntimeConfig::with_cache`] instead.
+    /// always means *disabled* — the opposite. Disable memoization
+    /// with [`RuntimeConfig::with_cache`] instead.
     #[must_use]
     pub fn from_env() -> RuntimeConfig {
         let mut config = RuntimeConfig::default();
-        if let Some(n) =
-            env_parsed::<usize>("BIOS_WORKERS", "a positive integer").filter(|&n| n > 0)
-        {
+        let positive = |name| {
+            std::env::var(name)
+                .ok()
+                .and_then(|raw| parse_env_positive(name, &raw))
+        };
+        if let Some(n) = positive("BIOS_WORKERS") {
             config.workers = n;
         }
-        match env_parsed::<usize>("BIOS_CACHE_CAP", "a positive integer") {
-            Some(0) => eprintln!(
-                "warning: ignoring ambiguous BIOS_CACHE_CAP=\"0\" (0 would mean unbounded, \
-                 not disabled; set a positive capacity, or disable memoization with \
-                 RuntimeConfig::with_cache(false))"
-            ),
-            Some(cap) => config.cache_capacity = cap,
-            None => {}
+        if let Some(cap) = positive("BIOS_CACHE_CAP") {
+            config.cache_capacity = cap;
         }
-        if let Some(ms) = env_parsed::<u64>("BIOS_JOB_DEADLINE_MS", "milliseconds as an integer") {
+        if let Some(ms) = std::env::var("BIOS_JOB_DEADLINE_MS").ok().and_then(|raw| {
+            parse_env_value::<u64>("BIOS_JOB_DEADLINE_MS", &raw, "milliseconds as an integer")
+        }) {
             config.job_deadline = Duration::from_millis(ms);
         }
         config
@@ -226,8 +226,7 @@ impl RuntimeConfig {
 /// `warning: ignoring malformed NAME="raw" (expected WHAT)` — and
 /// `None`, so the caller keeps its default. Shared by
 /// [`RuntimeConfig::from_env`] and `bios-gateway`'s
-/// `GatewayConfig::from_env` (`BIOS_GATEWAY_QPS`,
-/// `BIOS_BREAKER_THRESHOLD`). `name`, `raw`, and `what` are free-form
+/// `GatewayConfig::from_env`. `name`, `raw`, and `what` are free-form
 /// identifier/text strings.
 pub fn parse_env_value<T: std::str::FromStr>(name: &str, raw: &str, what: &str) -> Option<T> {
     match raw.parse::<T>() {
@@ -239,57 +238,48 @@ pub fn parse_env_value<T: std::str::FromStr>(name: &str, raw: &str, what: &str) 
     }
 }
 
-/// [`parse_env_value`] applied to the process environment; unset
-/// variables are silently `None`.
-fn env_parsed<T: std::str::FromStr>(name: &str, what: &str) -> Option<T> {
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| parse_env_value(name, &raw, what))
-}
-
-/// The per-job robustness knobs, copied out of [`RuntimeConfig`] so the
-/// worker closures capture a small `Copy` value instead of the runtime.
-#[derive(Debug, Clone, Copy)]
-struct ExecPolicy {
-    max_attempts: u32,
-    retry_backoff: Duration,
-    job_budget: u64,
-    job_deadline: Duration,
-}
-
-impl ExecPolicy {
-    fn from_config(config: &RuntimeConfig) -> ExecPolicy {
-        ExecPolicy {
-            max_attempts: config.max_attempts.max(1),
-            retry_backoff: config.retry_backoff,
-            job_budget: config.job_budget,
-            job_deadline: config.job_deadline,
-        }
+/// [`parse_env_value`] for a count that must be positive
+/// (`BIOS_WORKERS`, `BIOS_CACHE_CAP`, `BIOS_GATEWAY_QPS`,
+/// `BIOS_BREAKER_THRESHOLD`): a zero is refused like a malformed
+/// value — one warning line on stderr,
+/// `warning: ignoring NAME="0" (expected a positive integer)`, and
+/// `None` — never dropped silently.
+pub fn parse_env_positive<T>(name: &str, raw: &str) -> Option<T>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let value = parse_env_value::<T>(name, raw, "a positive integer")?;
+    if value == T::default() {
+        eprintln!("warning: ignoring {name}={raw:?} (expected a positive integer)");
+        return None;
     }
-
-    /// Deterministic exponential backoff for the retry after `attempt`
-    /// (1-based), capped so injected glitch storms cannot stall a
-    /// worker for long.
-    fn backoff_after(&self, attempt: u32) -> Duration {
-        let doublings = attempt.saturating_sub(1).min(8);
-        self.retry_backoff
-            .saturating_mul(1u32 << doublings)
-            .min(Duration::from_millis(50))
-    }
+    Some(value)
 }
 
-/// The fleet engine: worker pool + memo cache + metrics, shared across
-/// every fleet submitted to it.
+/// What every execution path captures from its runtime: the memo cache
+/// (`None` when memoization is off), the shared counters, and the
+/// config's per-job robustness knobs. Worker closures own a clone, so
+/// none of them borrows the runtime.
+#[derive(Debug, Clone)]
+struct JobContext {
+    cache: Option<Arc<ResultCache>>,
+    metrics: Arc<RuntimeMetrics>,
+    config: RuntimeConfig,
+}
+
+/// The fleet engine: worker pool + memo cache + metrics + storage,
+/// shared across every fleet submitted to it.
 #[derive(Debug)]
 pub struct Runtime {
     config: RuntimeConfig,
     pool: WorkerPool,
     cache: Arc<ResultCache>,
     metrics: Arc<RuntimeMetrics>,
+    storage: Arc<dyn StorageIo>,
 }
 
-/// What one job's pipeline produced, before [`execute_job`] stamps it
-/// with the job's identity and wall time and seals it.
+/// What one job's pipeline produced, before [`JobContext::execute`]
+/// stamps it with the job's identity and wall time and seals it.
 struct Completion {
     outcome: Result<Arc<CalibrationOutcome>, JobError>,
     from_cache: bool,
@@ -298,14 +288,24 @@ struct Completion {
 }
 
 impl Runtime {
-    /// Builds a runtime from `config`.
+    /// Builds a runtime from `config` on the real filesystem.
     #[must_use]
     pub fn new(config: RuntimeConfig) -> Runtime {
+        Runtime::with_storage(config, Arc::new(RealIo))
+    }
+
+    /// Builds a runtime whose run journals and cache snapshots all go
+    /// through `storage`. The torture gate passes a
+    /// [`bios_recover::SimIo`] handle here and keeps a clone (clones
+    /// share one disk) to reboot it and count its ops.
+    #[must_use]
+    pub fn with_storage(config: RuntimeConfig, storage: Arc<dyn StorageIo>) -> Runtime {
         Runtime {
             config,
             pool: WorkerPool::new(config.workers),
             cache: Arc::new(ResultCache::with_capacity(config.cache_capacity)),
             metrics: Arc::new(RuntimeMetrics::new()),
+            storage,
         }
     }
 
@@ -321,10 +321,9 @@ impl Runtime {
         self.pool.workers()
     }
 
-    /// The live counter block shared with every worker. The gateway
-    /// layer (`bios-gateway`) records its admission/breaker/brownout
-    /// decisions here so one [`MetricsSnapshot`] covers the whole
-    /// intake-to-result pipeline.
+    /// The live counter block shared with every worker. The shard
+    /// layer (`bios-shard`) records the corrupt results its integrity
+    /// hop catches here.
     #[must_use]
     pub fn metrics_handle(&self) -> Arc<RuntimeMetrics> {
         Arc::clone(&self.metrics)
@@ -351,29 +350,15 @@ impl Runtime {
         self.cache.clear();
     }
 
-    /// Persists the memo cache to a checksummed snapshot file; returns
-    /// the entry count written. See [`ResultCache::save`].
+    /// Persists the memo cache to a checksummed snapshot file on the
+    /// runtime's storage; returns the entry count written. See
+    /// [`ResultCache::save`].
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
+    /// Propagates storage errors.
     pub fn save_cache(&self, path: impl AsRef<Path>) -> io::Result<u64> {
-        self.cache.save(path)
-    }
-
-    /// [`Runtime::save_cache`] on an explicit storage backend (the
-    /// torture gate injects [`bios_recover::SimIo`] here to prove a
-    /// crash at any op leaves the previous snapshot intact).
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors.
-    pub fn save_cache_on(
-        &self,
-        backend: &dyn bios_recover::StorageIo,
-        path: impl AsRef<Path>,
-    ) -> io::Result<u64> {
-        self.cache.save_with(backend, path)
+        self.cache.save_with(self.storage.as_ref(), path)
     }
 
     /// Loads a cache snapshot written by [`Runtime::save_cache`].
@@ -383,23 +368,10 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; a file that is not a cache
-    /// snapshot at all is [`io::ErrorKind::InvalidData`].
+    /// Propagates storage errors; a file that is not a cache snapshot
+    /// at all is [`io::ErrorKind::InvalidData`].
     pub fn load_cache(&self, path: impl AsRef<Path>) -> io::Result<CacheLoadReport> {
-        self.cache.load(path)
-    }
-
-    /// [`Runtime::load_cache`] on an explicit storage backend.
-    ///
-    /// # Errors
-    ///
-    /// As [`Runtime::load_cache`].
-    pub fn load_cache_on(
-        &self,
-        backend: &dyn bios_recover::StorageIo,
-        path: impl AsRef<Path>,
-    ) -> io::Result<CacheLoadReport> {
-        self.cache.load_with(backend, path)
+        self.cache.load_with(self.storage.as_ref(), path)
     }
 
     /// Runs the fleet across the worker pool and collects results by
@@ -415,7 +387,9 @@ impl Runtime {
     /// for every job *as it completes* (arbitrary order), before the
     /// result is surfaced in the report. The journal layer uses this as
     /// its write-ahead point — a result is durably journaled before the
-    /// caller can see it.
+    /// caller can see it. A job whose worker was lost never reaches the
+    /// observer: its synthesized failure only fills the report slot,
+    /// so a resume re-executes it.
     pub(crate) fn run_with_observer(
         &self,
         fleet: &Fleet,
@@ -425,8 +399,7 @@ impl Runtime {
         // Self-healing pass: replace any worker that retired after
         // catching a panicking task (or absorbing a watchdog
         // cancellation) in an earlier run.
-        let respawned = self.pool.heal();
-        self.metrics.record_worker_respawns(respawned as u64);
+        self.heal();
         self.metrics.record_submitted(fleet.len() as u64);
         // Arm the hang watchdog for the duration of the run; dropping
         // the handle at the end of this function stops the supervisor.
@@ -441,30 +414,18 @@ impl Runtime {
         // chunk. Several chunks per worker keep the load balanced when
         // job costs are uneven.
         let jobs: Arc<[Job]> = fleet.jobs().into();
-        let policy = ExecPolicy::from_config(&self.config);
         let chunk = chunk_size(jobs.len(), self.workers());
-        let mut start = 0;
-        while start < jobs.len() {
+        for start in (0..jobs.len()).step_by(chunk) {
             let end = (start + chunk).min(jobs.len());
             let tx = tx.clone();
-            let cache = self.config.cache.then(|| Arc::clone(&self.cache));
-            let metrics = Arc::clone(&self.metrics);
+            let ctx = self.job_context();
             let jobs = Arc::clone(&jobs);
             let plan = fleet.fault_plan_arc();
             let registry = registry.clone();
             self.pool.execute_judged(move || {
                 let mut absorbed_stall = false;
                 for job in &jobs[start..end] {
-                    let result = execute_job(
-                        job.index,
-                        &job.entry,
-                        job.seed,
-                        plan.as_deref(),
-                        cache.as_deref(),
-                        registry.as_deref(),
-                        &metrics,
-                        policy,
-                    );
+                    let result = ctx.execute(job, plan.as_deref(), registry.as_deref());
                     absorbed_stall |=
                         registry.is_some() && matches!(result.outcome, Err(JobError::Deadline));
                     let _ = tx.send(result);
@@ -473,40 +434,22 @@ impl Runtime {
                     // The thread sat in a livelock until the watchdog
                     // cancelled it; finish the chunk (determinism), then
                     // retire so `heal` replaces it with a fresh thread.
-                    metrics.record_stalled_worker();
+                    ctx.metrics.record_stalled_worker();
                     TaskVerdict::Retire
                 } else {
                     TaskVerdict::Continue
                 }
             });
-            start = end;
         }
         drop(tx);
         let mut slots: Vec<Option<JobResult>> = (0..fleet.len()).map(|_| None).collect();
-        let mut received = 0usize;
-        while received < fleet.len() {
-            match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(result) => {
-                    on_result(&result);
-                    let index = result.index;
-                    slots[index] = Some(result);
-                    received += 1;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Workers retire mid-run on watchdog cancellations;
-                    // if the whole pool has drained, heal it *now* so
-                    // the queued chunks keep flowing instead of
-                    // deadlocking the collection loop.
-                    if self.pool.live_workers() == 0 {
-                        let respawned = self.pool.heal();
-                        self.metrics.record_worker_respawns(respawned as u64);
-                        if respawned == 0 {
-                            break; // OS refuses threads: report what we have
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+        for _ in 0..fleet.len() {
+            let Some(result) = self.recv_or_heal(&rx) else {
+                break; // nothing more can arrive: report what we have
+            };
+            on_result(&result);
+            let index = result.index;
+            slots[index] = Some(result);
         }
         let results = fleet
             .jobs()
@@ -516,18 +459,12 @@ impl Runtime {
                 // A missing slot can only mean the worker died harder
                 // than catch_unwind (e.g. stack overflow aborts).
                 slot.unwrap_or_else(|| {
-                    JobResult {
-                        index: job.index,
-                        sensor: job.entry.id().to_owned(),
-                        seed: job.seed,
-                        wall: Duration::ZERO,
-                        from_cache: false,
-                        attempts: 0,
-                        injected: FaultTally::default(),
-                        outcome: Err(JobError::Panicked("worker lost".into())),
-                        integrity: 0,
-                    }
-                    .sealed()
+                    JobResult::lost(
+                        job.index,
+                        job.entry.id().to_owned(),
+                        job.seed,
+                        "worker lost",
+                    )
                 })
             })
             .collect();
@@ -546,8 +483,7 @@ impl Runtime {
     /// front. Heals the pool first, exactly like a batch run.
     #[must_use]
     pub fn open_stream(&self) -> JobStream<'_> {
-        let respawned = self.pool.heal();
-        self.metrics.record_worker_respawns(respawned as u64);
+        self.heal();
         let (tx, rx) = mpsc::channel();
         JobStream {
             runtime: self,
@@ -565,23 +501,11 @@ impl Runtime {
     pub fn run_sequential(&self, fleet: &Fleet) -> FleetReport {
         let started = Instant::now();
         self.metrics.record_submitted(fleet.len() as u64);
-        let cache = self.config.cache.then_some(self.cache.as_ref());
-        let policy = ExecPolicy::from_config(&self.config);
+        let ctx = self.job_context();
         let results = fleet
             .jobs()
             .iter()
-            .map(|job| {
-                execute_job(
-                    job.index,
-                    &job.entry,
-                    job.seed,
-                    fleet.fault_plan(),
-                    cache,
-                    None,
-                    &self.metrics,
-                    policy,
-                )
-            })
+            .map(|job| ctx.execute(job, fleet.fault_plan(), None))
             .collect();
         FleetReport {
             fleet: fleet.name().to_owned(),
@@ -589,6 +513,44 @@ impl Runtime {
             elapsed: started.elapsed(),
             results,
             metrics: self.metrics(),
+        }
+    }
+
+    /// The cache, counters, and knobs every job of this runtime runs
+    /// under.
+    fn job_context(&self) -> JobContext {
+        JobContext {
+            cache: self.config.cache.then(|| Arc::clone(&self.cache)),
+            metrics: Arc::clone(&self.metrics),
+            config: self.config,
+        }
+    }
+
+    /// Replaces retired workers and meters the respawns; returns how
+    /// many were spawned.
+    fn heal(&self) -> usize {
+        let respawned = self.pool.heal();
+        self.metrics.record_worker_respawns(respawned as u64);
+        respawned
+    }
+
+    /// The one collection wait, shared by the batch collector and
+    /// [`JobStream::recv`]: blocks for the next completion on `rx`,
+    /// and whenever the whole pool has retired (watchdog
+    /// cancellations), heals it so queued work keeps flowing instead
+    /// of deadlocking. `None` when nothing more can arrive: the
+    /// channel closed, or the OS refuses replacement threads.
+    fn recv_or_heal<T>(&self, rx: &mpsc::Receiver<T>) -> Option<T> {
+        loop {
+            match rx.recv_timeout(Duration::from_millis(25)) {
+                Ok(message) => return Some(message),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if self.pool.live_workers() == 0 && self.heal() == 0 {
+                        return None;
+                    }
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            }
         }
     }
 }
@@ -632,9 +594,9 @@ impl JobStream<'_> {
     /// the memo cache probed and filled, the metrics billed, the retry
     /// policy applied, and the completion channel delivered to are all
     /// the home runtime's. This is the work-stealing seam `bios-shard`
-    /// dispatches through — because `execute_job` is a pure function of
-    /// `(entry, seed, plan, policy)`, *where* the closure runs can
-    /// never change *what* it computes, so a stolen job's
+    /// dispatches through — because a job's execution is a pure
+    /// function of `(entry, seed, plan, policy)`, *where* the closure
+    /// runs can never change *what* it computes, so a stolen job's
     /// [`JobResult`] is byte-identical to a home-run one.
     ///
     /// With `host == self.runtime` this is exactly
@@ -652,27 +614,15 @@ impl JobStream<'_> {
             .insert(ticket, (entry.id().to_owned(), seed));
         self.runtime.metrics.record_submitted(1);
         let tx = self.tx.clone();
-        let entry = entry.clone();
+        let job = Job {
+            index: ticket as usize,
+            entry: entry.clone(),
+            seed,
+        };
         let plan = plan.cloned();
-        let cache = self
-            .runtime
-            .config
-            .cache
-            .then(|| Arc::clone(&self.runtime.cache));
-        let metrics = Arc::clone(&self.runtime.metrics);
-        let policy = ExecPolicy::from_config(&self.runtime.config);
+        let ctx = self.runtime.job_context();
         host.pool.execute(move || {
-            let result = execute_job(
-                ticket as usize,
-                &entry,
-                seed,
-                plan.as_ref(),
-                cache.as_deref(),
-                None,
-                &metrics,
-                policy,
-            );
-            let _ = tx.send((ticket, result));
+            let _ = tx.send((ticket, ctx.execute(&job, plan.as_ref(), None)));
         });
         ticket
     }
@@ -684,53 +634,23 @@ impl JobStream<'_> {
     }
 
     /// Blocks until the next outstanding job completes and returns its
-    /// `(ticket, result)`; `None` when nothing is outstanding. Mirrors
-    /// the batch collection loop's self-healing: if every worker has
-    /// retired, the pool is healed so queued jobs keep flowing, and if
-    /// the OS refuses new threads the oldest outstanding job is
-    /// surfaced as the deterministic "worker lost" failure instead of
-    /// blocking forever.
+    /// `(ticket, result)`; `None` when nothing is outstanding. Heals
+    /// the pool exactly like the batch collector, and if the OS
+    /// refuses new threads the oldest outstanding job is surfaced as
+    /// the deterministic "worker lost" failure instead of blocking
+    /// forever.
     pub fn recv(&mut self) -> Option<(u64, JobResult)> {
         loop {
-            self.outstanding.keys().next()?;
-            match self.rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((ticket, result)) => {
-                    // A result whose ticket was already synthesized as
-                    // lost (worker limped back) is dropped.
-                    if self.outstanding.remove(&ticket).is_some() {
-                        return Some((ticket, result));
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if self.runtime.pool.live_workers() == 0 {
-                        let respawned = self.runtime.pool.heal();
-                        self.runtime
-                            .metrics
-                            .record_worker_respawns(respawned as u64);
-                        if respawned == 0 {
-                            // OS refuses threads: fail the oldest job
-                            // deterministically rather than hang.
-                            let ticket = self.outstanding.keys().next().copied()?;
-                            let (sensor, seed) = self.outstanding.remove(&ticket)?;
-                            return Some((
-                                ticket,
-                                JobResult {
-                                    index: ticket as usize,
-                                    sensor,
-                                    seed,
-                                    wall: Duration::ZERO,
-                                    from_cache: false,
-                                    attempts: 0,
-                                    injected: FaultTally::default(),
-                                    outcome: Err(JobError::Panicked("worker lost".into())),
-                                    integrity: 0,
-                                }
-                                .sealed(),
-                            ));
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            let (&oldest, _) = self.outstanding.first_key_value()?;
+            let Some((ticket, result)) = self.runtime.recv_or_heal(&self.rx) else {
+                let (sensor, seed) = self.outstanding.remove(&oldest)?;
+                let lost = JobResult::lost(oldest as usize, sensor, seed, "worker lost");
+                return Some((oldest, lost));
+            };
+            // A result whose ticket was already synthesized as lost
+            // (worker limped back) is dropped.
+            if self.outstanding.remove(&ticket).is_some() {
+                return Some((ticket, result));
             }
         }
     }
@@ -743,186 +663,193 @@ fn chunk_size(jobs: usize, workers: usize) -> usize {
     jobs.div_ceil((workers * 4).max(1)).max(1)
 }
 
-/// Runs one job on the calling worker and seals its [`JobResult`]
-/// there, before the result crosses any channel: the one place
-/// executed work becomes a result, shared by the pool's chunks,
-/// [`Runtime::run_sequential`] and [`JobStream::submit_on`].
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    index: usize,
-    entry: &CatalogEntry,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    cache: Option<&ResultCache>,
-    watch: Option<&WatchRegistry>,
-    metrics: &RuntimeMetrics,
-    policy: ExecPolicy,
-) -> JobResult {
-    let t0 = Instant::now();
-    let done = run_job(index, entry, seed, plan, cache, watch, metrics, policy);
-    let wall = t0.elapsed();
-    metrics.record_finished(done.outcome.is_ok(), done.from_cache, wall);
-    JobResult {
-        index,
-        sensor: entry.id().to_owned(),
-        seed,
-        wall,
-        from_cache: done.from_cache,
-        attempts: done.attempts,
-        injected: done.injected,
-        outcome: done.outcome,
-        integrity: 0,
-    }
-    .sealed()
-}
-
-/// One job's pipeline: realize faults, budget gate, cache probe, then
-/// the attempt loop — simulate behind `catch_unwind`, retry transient
-/// failures with deterministic backoff, memoize successes, meter
-/// everything.
-///
-/// Every branch here is a pure function of `(entry, seed, plan,
-/// policy)` — never of the worker, the attempt wall-clock, or cache
-/// state (the budget gate runs *before* the cache probe so a rejection
-/// cannot depend on what happens to be memoized) — which is what keeps
-/// fleet outcomes identical across worker counts even mid-chaos.
-#[allow(clippy::too_many_arguments)]
-fn run_job(
-    index: usize,
-    entry: &CatalogEntry,
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    cache: Option<&ResultCache>,
-    watch: Option<&WatchRegistry>,
-    metrics: &RuntimeMetrics,
-    policy: ExecPolicy,
-) -> Completion {
-    // Realize this job's faults once, up front: realization depends
-    // only on (plan, sensor id, job seed), so retries and reruns see
-    // the exact same fault set. A plan that realizes nothing for this
-    // job leaves the healthy path (and its cache slot) untouched.
-    let faults = plan
-        .map(|p| p.realize(entry.id(), seed))
-        .filter(|f| !f.is_healthy());
-    let injected = faults
-        .as_ref()
-        .map_or_else(FaultTally::default, |f| f.tally());
-    metrics.record_faults_injected(injected.total() as u64);
-    let physics_plan = faults.as_ref().and(plan);
-
-    // Budget gate, before the cache probe so the verdict is a pure
-    // function of the job.
-    if policy.job_budget > 0 {
-        let required = entry.calibration_workload();
-        if required > policy.job_budget {
-            metrics.record_budget_rejection();
-            return Completion {
-                outcome: Err(JobError::Budget {
-                    required,
-                    budget: policy.job_budget,
-                }),
-                from_cache: false,
-                attempts: 0,
-                injected,
-            };
+impl JobContext {
+    /// Runs one job on the calling thread and seals its [`JobResult`]
+    /// there, before the result crosses any channel: the one place
+    /// executed work becomes a result, shared by the pool's chunks,
+    /// [`Runtime::run_sequential`] and [`JobStream::submit_on`].
+    fn execute(
+        &self,
+        job: &Job,
+        plan: Option<&FaultPlan>,
+        watch: Option<&WatchRegistry>,
+    ) -> JobResult {
+        let t0 = Instant::now();
+        let done = self.pipeline(job, plan, watch);
+        let wall = t0.elapsed();
+        self.metrics
+            .record_finished(done.outcome.is_ok(), done.from_cache, wall);
+        JobResult {
+            index: job.index,
+            sensor: job.entry.id().to_owned(),
+            seed: job.seed,
+            wall,
+            from_cache: done.from_cache,
+            attempts: done.attempts,
+            injected: done.injected,
+            outcome: done.outcome,
+            integrity: 0,
         }
+        .sealed()
     }
 
-    // Injected busy-hang, gated like the budget check — before the
-    // cache probe, so the verdict is a pure function of the job. With a
-    // watchdog armed the job *really* livelocks in solver code until the
-    // supervisor cancels it; without one it is rejected synchronously.
-    // Either way the rendered loss is the identical `Deadline` error, so
-    // digests match across worker counts, watchdog settings, and the
-    // sequential path.
-    if faults.as_ref().is_some_and(|f| f.stall_job) {
-        if let Some(registry) = watch {
-            let token = registry.begin(index);
-            simulate_stall(policy.job_deadline, token.as_ref());
-            registry.end(index);
-        }
-        metrics.record_deadline_kill();
-        return Completion {
-            outcome: Err(JobError::Deadline),
-            from_cache: false,
-            attempts: 1,
-            injected,
-        };
+    /// Deterministic exponential backoff for the retry after `attempt`
+    /// (1-based), capped so injected glitch storms cannot stall a
+    /// worker for long.
+    fn backoff_after(&self, attempt: u32) -> Duration {
+        let doublings = attempt.saturating_sub(1).min(8);
+        self.config
+            .retry_backoff
+            .saturating_mul(1u32 << doublings)
+            .min(Duration::from_millis(50))
     }
 
-    let key = cache.map(|_| CacheKey {
-        sensor: entry.id().to_owned(),
-        protocol: entry.protocol_fingerprint(),
-        plan: physics_plan.map_or(0, FaultPlan::fingerprint),
-        seed,
-    });
-    if let (Some(cache), Some(key)) = (cache, &key) {
-        if let Some(hit) = cache.get(key) {
-            return Completion {
-                outcome: Ok(hit),
-                from_cache: true,
-                attempts: 0,
-                injected,
-            };
-        }
-    }
+    /// One job's pipeline: realize faults, budget gate, cache probe,
+    /// then the attempt loop — simulate behind `catch_unwind`, retry
+    /// transient failures with deterministic backoff, memoize
+    /// successes, meter everything.
+    ///
+    /// Every branch here is a pure function of `(entry, seed, plan,
+    /// config)` — never of the worker, the attempt wall-clock, or cache
+    /// state (the budget gate runs *before* the cache probe so a
+    /// rejection cannot depend on what happens to be memoized) — which
+    /// is what keeps fleet outcomes identical across worker counts even
+    /// mid-chaos.
+    fn pipeline(
+        &self,
+        job: &Job,
+        plan: Option<&FaultPlan>,
+        watch: Option<&WatchRegistry>,
+    ) -> Completion {
+        let (index, entry, seed) = (job.index, &job.entry, job.seed);
+        let metrics = &self.metrics;
+        let cache = self.cache.as_deref();
+        // Realize this job's faults once, up front: realization depends
+        // only on (plan, sensor id, job seed), so retries and reruns see
+        // the exact same fault set. A plan that realizes nothing for
+        // this job leaves the healthy path (and its cache slot)
+        // untouched.
+        let faults = plan
+            .map(|p| p.realize(entry.id(), seed))
+            .filter(|f| !f.is_healthy());
+        let injected = faults
+            .as_ref()
+            .map_or_else(FaultTally::default, |f| f.tally());
+        metrics.record_faults_injected(injected.total() as u64);
+        let physics_plan = faults.as_ref().and(plan);
 
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempt: u32 = 1;
-    let outcome = loop {
-        let transient_quota = faults.as_ref().map_or(0, |f| f.transient_failures);
-        let attempt_result: Result<_, JobError> = if attempt <= transient_quota {
-            // Injected transient glitch: fail before touching the
-            // physics, deterministically for the first N attempts.
-            Err(JobError::Transient {
-                message: format!("injected transient glitch ({attempt}/{transient_quota})"),
-                attempts: attempt,
-            })
-        } else {
-            catch_unwind(AssertUnwindSafe(|| {
-                if faults.as_ref().is_some_and(|f| f.panic_job) {
-                    // bios-audit: allow(P-panic) — deliberate injected fault, contained by catch_unwind
-                    panic!("injected worker panic (fault plan)");
-                }
-                entry.run_calibration_with(seed, physics_plan)
-            }))
-            .map_err(|payload| JobError::Panicked(panic_message(&payload)))
-            .and_then(|r| r.map_err(JobError::Calibration))
-        };
-        match attempt_result {
-            Ok(outcome) => break Ok(outcome),
-            Err(error) if error.is_transient() && attempt < max_attempts => {
-                metrics.record_retry();
-                let backoff = policy.backoff_after(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                attempt += 1;
+        // Budget gate, before the cache probe so the verdict is a pure
+        // function of the job.
+        let budget = self.config.job_budget;
+        if budget > 0 {
+            let required = entry.calibration_workload();
+            if required > budget {
+                metrics.record_budget_rejection();
+                return Completion {
+                    outcome: Err(JobError::Budget { required, budget }),
+                    from_cache: false,
+                    attempts: 0,
+                    injected,
+                };
             }
-            Err(error) => break Err(error),
         }
-    };
-    // NaN/±Inf guardrail: a non-finite outcome is quarantined *before*
-    // it can reach the cache or a run journal — a poisoned figure of
-    // merit served from the cache would silently corrupt every later
-    // run that hits it.
-    let outcome = outcome.and_then(|outcome| {
-        if outcome_is_finite(&outcome) {
-            Ok(outcome)
-        } else {
-            metrics.record_nonfinite_quarantined();
-            Err(JobError::NonFinite)
+
+        // Injected busy-hang, gated like the budget check — before the
+        // cache probe, so the verdict is a pure function of the job.
+        // With a watchdog armed the job *really* livelocks in solver
+        // code until the supervisor cancels it; without one it is
+        // rejected synchronously. Either way the rendered loss is the
+        // identical `Deadline` error, so digests match across worker
+        // counts, watchdog settings, and the sequential path.
+        if faults.as_ref().is_some_and(|f| f.stall_job) {
+            if let Some(registry) = watch {
+                let token = registry.begin(index);
+                simulate_stall(self.config.job_deadline, token.as_ref());
+                registry.end(index);
+            }
+            metrics.record_deadline_kill();
+            return Completion {
+                outcome: Err(JobError::Deadline),
+                from_cache: false,
+                attempts: 1,
+                injected,
+            };
         }
-    });
-    let outcome = outcome.map(|outcome| match (cache, key) {
-        (Some(cache), Some(key)) => cache.insert(key, outcome),
-        _ => Arc::new(outcome),
-    });
-    Completion {
-        outcome,
-        from_cache: false,
-        attempts: attempt,
-        injected,
+
+        let key = cache.map(|_| CacheKey {
+            sensor: entry.id().to_owned(),
+            protocol: entry.protocol_fingerprint(),
+            plan: physics_plan.map_or(0, FaultPlan::fingerprint),
+            seed,
+        });
+        if let (Some(cache), Some(key)) = (cache, &key) {
+            if let Some(hit) = cache.get(key) {
+                return Completion {
+                    outcome: Ok(hit),
+                    from_cache: true,
+                    attempts: 0,
+                    injected,
+                };
+            }
+        }
+
+        let max_attempts = self.config.max_attempts.max(1);
+        let mut attempt: u32 = 1;
+        let outcome = loop {
+            let transient_quota = faults.as_ref().map_or(0, |f| f.transient_failures);
+            let attempt_result: Result<_, JobError> = if attempt <= transient_quota {
+                // Injected transient glitch: fail before touching the
+                // physics, deterministically for the first N attempts.
+                Err(JobError::Transient {
+                    message: format!("injected transient glitch ({attempt}/{transient_quota})"),
+                    attempts: attempt,
+                })
+            } else {
+                catch_unwind(AssertUnwindSafe(|| {
+                    if faults.as_ref().is_some_and(|f| f.panic_job) {
+                        // bios-audit: allow(P-panic) — deliberate injected fault, contained by catch_unwind
+                        panic!("injected worker panic (fault plan)");
+                    }
+                    entry.run_calibration_with(seed, physics_plan)
+                }))
+                .map_err(|payload| JobError::Panicked(panic_message(&payload)))
+                .and_then(|r| r.map_err(JobError::Calibration))
+            };
+            match attempt_result {
+                Ok(outcome) => break Ok(outcome),
+                Err(error) if error.is_transient() && attempt < max_attempts => {
+                    metrics.record_retry();
+                    let backoff = self.backoff_after(attempt);
+                    if !backoff.is_zero() {
+                        std::thread::sleep(backoff);
+                    }
+                    attempt += 1;
+                }
+                Err(error) => break Err(error),
+            }
+        };
+        // NaN/±Inf guardrail: a non-finite outcome is quarantined *before*
+        // it can reach the cache or a run journal — a poisoned figure of
+        // merit served from the cache would silently corrupt every later
+        // run that hits it.
+        let outcome = outcome.and_then(|outcome| {
+            if outcome_is_finite(&outcome) {
+                Ok(outcome)
+            } else {
+                metrics.record_nonfinite_quarantined();
+                Err(JobError::NonFinite)
+            }
+        });
+        let outcome = outcome.map(|outcome| match (cache, key) {
+            (Some(cache), Some(key)) => cache.insert(key, outcome),
+            _ => Arc::new(outcome),
+        });
+        Completion {
+            outcome,
+            from_cache: false,
+            attempts: attempt,
+            injected,
+        }
     }
 }
 
@@ -1155,6 +1082,32 @@ mod tests {
         std::env::set_var("BIOS_CACHE_CAP", "512");
         assert_eq!(RuntimeConfig::from_env().cache_capacity, 512);
         std::env::remove_var("BIOS_CACHE_CAP");
+    }
+
+    #[test]
+    fn zero_positive_env_values_keep_the_default() {
+        // Every positive-integer knob refuses "0" with one warning line
+        // instead of silently dropping it.
+        assert_eq!(parse_env_positive::<usize>("BIOS_WORKERS", "0"), None);
+        assert_eq!(parse_env_positive::<usize>("BIOS_CACHE_CAP", "00"), None);
+        assert_eq!(parse_env_positive::<u64>("BIOS_GATEWAY_QPS", "0"), None);
+        assert_eq!(
+            parse_env_positive::<u32>("BIOS_BREAKER_THRESHOLD", "0"),
+            None
+        );
+        assert_eq!(
+            parse_env_positive::<u32>("BIOS_BREAKER_THRESHOLD", "x"),
+            None
+        );
+        assert_eq!(parse_env_positive::<usize>("BIOS_WORKERS", "3"), Some(3));
+        // The other env test only asserts `workers >= 1`, which a
+        // refused zero keeps, so mutating BIOS_WORKERS here is race-free.
+        std::env::set_var("BIOS_WORKERS", "0");
+        assert_eq!(
+            RuntimeConfig::from_env().workers,
+            RuntimeConfig::default().workers
+        );
+        std::env::remove_var("BIOS_WORKERS");
     }
 
     #[test]

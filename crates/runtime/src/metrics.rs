@@ -33,16 +33,7 @@ pub struct RuntimeMetrics {
     stalled_workers: AtomicU64,
     deadline_kills: AtomicU64,
     nonfinite_quarantined: AtomicU64,
-    admission_rejected: AtomicU64,
-    rate_limited: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_half_open_probes: AtomicU64,
-    browned_out: AtomicU64,
-    deadline_shed: AtomicU64,
-    quorum_votes: AtomicU64,
-    disagreements: AtomicU64,
     corruption_caught: AtomicU64,
-    suspects_quarantined: AtomicU64,
     histogram: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
@@ -148,66 +139,13 @@ impl RuntimeMetrics {
         self.nonfinite_quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one request refused at the gateway intake because the
-    /// bounded admission queue was full.
-    pub fn record_admission_rejected(&self) {
-        self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request refused by a tenant's token bucket.
-    pub fn record_rate_limited(&self) {
-        self.rate_limited.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one circuit breaker tripping open (including a
-    /// half-open probe failure re-opening it).
-    pub fn record_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request admitted as a half-open breaker probe.
-    pub fn record_breaker_half_open_probe(&self) {
-        self.breaker_half_open_probes
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request downgraded (served at reduced resolution)
-    /// by the gateway's brownout policy.
-    pub fn record_browned_out(&self) {
-        self.browned_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request shed because its remaining deadline budget
-    /// could no longer cover even a degraded execution.
-    pub fn record_deadline_shed(&self) {
-        self.deadline_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one redundant-execution vote completed by the quorum
-    /// layer (unanimous or not).
-    pub fn record_quorum_vote(&self) {
-        self.quorum_votes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one vote whose replica lanes disagreed beyond the
-    /// configured tolerance and escalated to a tie-break.
-    pub fn record_disagreement(&self) {
-        self.disagreements.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` silently-corrupted replica observations caught by
-    /// the vote or by an integrity-checksum hop before they could
-    /// reach the cache, journal, or merged report.
+    /// Records `n` results caught by an integrity-checksum hop (journal
+    /// append, shard completion) before they could reach the journal or
+    /// a vote. Quorum vote catches are reported by the quorum layer.
     pub fn record_corruption_caught(&self, n: u64) {
         if n > 0 {
             self.corruption_caught.fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Records one suspect (worker lane or shard) quarantined after
-    /// losing repeated votes.
-    pub fn record_suspect_quarantined(&self) {
-        self.suspects_quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A consistent-enough point-in-time copy of every counter.
@@ -235,16 +173,7 @@ impl RuntimeMetrics {
             deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
             cache_corrupt_dropped: 0,
             nonfinite_quarantined: self.nonfinite_quarantined.load(Ordering::Relaxed),
-            admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_half_open_probes: self.breaker_half_open_probes.load(Ordering::Relaxed),
-            browned_out: self.browned_out.load(Ordering::Relaxed),
-            deadline_shed: self.deadline_shed.load(Ordering::Relaxed),
-            quorum_votes: self.quorum_votes.load(Ordering::Relaxed),
-            disagreements: self.disagreements.load(Ordering::Relaxed),
             corruption_caught: self.corruption_caught.load(Ordering::Relaxed),
-            suspects_quarantined: self.suspects_quarantined.load(Ordering::Relaxed),
             histogram: std::array::from_fn(|i| self.histogram[i].load(Ordering::Relaxed)),
         }
     }
@@ -300,30 +229,9 @@ pub struct MetricsSnapshot {
     pub cache_corrupt_dropped: u64,
     /// Jobs quarantined for producing NaN/±Inf results.
     pub nonfinite_quarantined: u64,
-    /// Gateway requests refused because the bounded admission queue
-    /// was full.
-    pub admission_rejected: u64,
-    /// Gateway requests refused by a tenant's token bucket.
-    pub rate_limited: u64,
-    /// Circuit-breaker trips (closed→open and a probe failure
-    /// re-opening a half-open breaker both count).
-    pub breaker_trips: u64,
-    /// Requests admitted as half-open breaker probes.
-    pub breaker_half_open_probes: u64,
-    /// Requests served at degraded resolution by the brownout policy.
-    pub browned_out: u64,
-    /// Requests shed because their remaining deadline budget could no
-    /// longer cover even a degraded execution.
-    pub deadline_shed: u64,
-    /// Redundant-execution votes completed by the quorum layer.
-    pub quorum_votes: u64,
-    /// Votes whose replica lanes disagreed beyond tolerance.
-    pub disagreements: u64,
-    /// Silently-corrupted replica observations caught by a vote or an
-    /// integrity-checksum hop.
+    /// Results whose produce-time checksum failed at an integrity hop
+    /// (journal append, shard completion).
     pub corruption_caught: u64,
-    /// Suspect lanes/shards quarantined after repeated lost votes.
-    pub suspects_quarantined: u64,
     /// Per-job wall-time histogram (log₂ µs buckets).
     pub histogram: [u64; HISTOGRAM_BUCKETS],
 }
@@ -383,11 +291,7 @@ impl MetricsSnapshot {
                 "\"journal_retries\":{},\"resumed_jobs\":{},",
                 "\"stalled_workers\":{},\"deadline_kills\":{},",
                 "\"cache_corrupt_dropped\":{},\"nonfinite_quarantined\":{},",
-                "\"admission_rejected\":{},\"rate_limited\":{},",
-                "\"breaker_trips\":{},\"breaker_half_open_probes\":{},",
-                "\"browned_out\":{},\"deadline_shed\":{},",
-                "\"quorum_votes\":{},\"disagreements\":{},",
-                "\"corruption_caught\":{},\"suspects_quarantined\":{},",
+                "\"corruption_caught\":{},",
                 "\"wall_histogram\":[{}]}}"
             ),
             self.jobs_submitted,
@@ -412,16 +316,7 @@ impl MetricsSnapshot {
             self.deadline_kills,
             self.cache_corrupt_dropped,
             self.nonfinite_quarantined,
-            self.admission_rejected,
-            self.rate_limited,
-            self.breaker_trips,
-            self.breaker_half_open_probes,
-            self.browned_out,
-            self.deadline_shed,
-            self.quorum_votes,
-            self.disagreements,
             self.corruption_caught,
-            self.suspects_quarantined,
             buckets.join(",")
         )
     }
@@ -497,55 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn gateway_counters_accumulate_and_serialize() {
-        let m = RuntimeMetrics::new();
-        m.record_admission_rejected();
-        m.record_rate_limited();
-        m.record_rate_limited();
-        m.record_breaker_trip();
-        m.record_breaker_half_open_probe();
-        m.record_breaker_half_open_probe();
-        m.record_breaker_half_open_probe();
-        m.record_browned_out();
-        m.record_deadline_shed();
-        let s = m.snapshot();
-        assert_eq!(s.admission_rejected, 1);
-        assert_eq!(s.rate_limited, 2);
-        assert_eq!(s.breaker_trips, 1);
-        assert_eq!(s.breaker_half_open_probes, 3);
-        assert_eq!(s.browned_out, 1);
-        assert_eq!(s.deadline_shed, 1);
-        let json = s.to_json();
-        assert!(json.contains("\"admission_rejected\":1"));
-        assert!(json.contains("\"rate_limited\":2"));
-        assert!(json.contains("\"breaker_trips\":1"));
-        assert!(json.contains("\"breaker_half_open_probes\":3"));
-        assert!(json.contains("\"browned_out\":1"));
-        assert!(json.contains("\"deadline_shed\":1"));
-    }
-
-    #[test]
-    fn quorum_counters_accumulate_and_serialize() {
-        let m = RuntimeMetrics::new();
-        m.record_quorum_vote();
-        m.record_quorum_vote();
-        m.record_disagreement();
-        m.record_corruption_caught(3);
-        m.record_corruption_caught(0); // no-op
-        m.record_suspect_quarantined();
-        let s = m.snapshot();
-        assert_eq!(s.quorum_votes, 2);
-        assert_eq!(s.disagreements, 1);
-        assert_eq!(s.corruption_caught, 3);
-        assert_eq!(s.suspects_quarantined, 1);
-        let json = s.to_json();
-        assert!(json.contains("\"quorum_votes\":2"));
-        assert!(json.contains("\"disagreements\":1"));
-        assert!(json.contains("\"corruption_caught\":3"));
-        assert!(json.contains("\"suspects_quarantined\":1"));
-    }
-
-    #[test]
     fn robustness_counters_accumulate_and_serialize() {
         let m = RuntimeMetrics::new();
         m.record_retry();
@@ -554,11 +400,14 @@ mod tests {
         m.record_faults_injected(0); // no-op
         m.record_budget_rejection();
         m.record_worker_respawns(2);
+        m.record_corruption_caught(3);
+        m.record_corruption_caught(0); // no-op
         let mut s = m.snapshot();
         assert_eq!(s.retries, 2);
         assert_eq!(s.faults_injected, 3);
         assert_eq!(s.budget_rejections, 1);
         assert_eq!(s.worker_respawns, 2);
+        assert_eq!(s.corruption_caught, 3);
         s.cache_evictions = 5;
         let json = s.to_json();
         assert!(json.contains("\"retries\":2"));
@@ -566,6 +415,44 @@ mod tests {
         assert!(json.contains("\"budget_rejections\":1"));
         assert!(json.contains("\"worker_respawns\":2"));
         assert!(json.contains("\"cache_evictions\":5"));
+        assert!(json.contains("\"corruption_caught\":3"));
+    }
+
+    #[test]
+    fn json_key_list_is_pinned() {
+        // Every value of an empty snapshot is a number, so every quoted
+        // string is a key: adding or removing a counter changes this list.
+        let json = RuntimeMetrics::new().snapshot().to_json();
+        let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+        assert_eq!(
+            keys,
+            [
+                "jobs_submitted",
+                "jobs_completed",
+                "jobs_failed",
+                "cache_hits",
+                "cache_misses",
+                "cache_hit_rate",
+                "busy_micros",
+                "wall_p50_micros",
+                "wall_p99_micros",
+                "retries",
+                "faults_injected",
+                "budget_rejections",
+                "worker_respawns",
+                "cache_evictions",
+                "journal_records",
+                "journal_lost",
+                "journal_retries",
+                "resumed_jobs",
+                "stalled_workers",
+                "deadline_kills",
+                "cache_corrupt_dropped",
+                "nonfinite_quarantined",
+                "corruption_caught",
+                "wall_histogram",
+            ]
+        );
     }
 
     #[test]

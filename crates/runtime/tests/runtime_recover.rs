@@ -6,12 +6,14 @@
 //! the fleet still completes.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bios_core::catalog;
 use bios_faults::{FaultKind, FaultPlan};
 use bios_prng::cases;
+use bios_recover::{IoFaultScript, SimIo};
 use bios_runtime::journal::JournalError;
 use bios_runtime::{Fleet, JobError, Runtime, RuntimeConfig};
 
@@ -277,4 +279,74 @@ fn crash_option_is_inert_when_unreached() {
     assert_eq!(replay.executed_jobs, 0);
     assert_eq!(replay.summaries_digest(), report.summaries_digest());
     fs::remove_file(&path).ok();
+}
+
+/// A runtime whose storage is a handle on `disk` (clones share it).
+fn on_disk(config: RuntimeConfig, disk: &SimIo) -> Runtime {
+    Runtime::with_storage(config, Arc::new(disk.clone()))
+}
+
+#[test]
+fn cache_snapshots_round_trip_on_the_runtime_storage() {
+    let fleet = Fleet::builder("sim-cache")
+        .sensors(catalog::glucose_sensors())
+        .seeds([3, 4])
+        .build();
+    let cached = RuntimeConfig::default().with_workers(2);
+    let disk = SimIo::perfect(0xCAC4E);
+    let path = Path::new("/sim/cache.snapshot");
+    let writer = on_disk(cached, &disk);
+    let first = writer.run(&fleet);
+    assert_eq!(
+        writer.save_cache(path).expect("save on sim disk"),
+        fleet.len() as u64
+    );
+    assert!(
+        disk.file_bytes(path).is_some(),
+        "snapshot lives on the sim disk"
+    );
+    assert!(!path.exists(), "nothing reached the real filesystem");
+
+    let reader = on_disk(cached, &disk);
+    let loaded = reader.load_cache(path).expect("load from sim disk");
+    assert_eq!(loaded.loaded, fleet.len() as u64);
+    assert_eq!(loaded.corrupt_dropped, 0);
+    let warm = reader.run(&fleet);
+    assert_eq!(warm.cache_hits(), fleet.len());
+    assert_eq!(warm.summaries_digest(), first.summaries_digest());
+}
+
+#[test]
+fn a_crash_on_the_sim_disk_resumes_to_the_uninterrupted_digest() {
+    let fleet = Fleet::builder("sim-crash")
+        .sensors(catalog::glucose_sensors())
+        .seeds(0..2)
+        .build();
+    let golden = Runtime::new(config(2)).run(&fleet).summaries_digest();
+    let path = Path::new("/sim/run.journal");
+    let healthy = SimIo::perfect(0);
+    on_disk(config(2), &healthy)
+        .run_journaled(&fleet, path)
+        .expect("healthy journaled run");
+    let ops = healthy.op_count();
+    // Mid-run (the header is durable) and at the very last op (the
+    // seal's sync).
+    for k in [ops / 2, ops - 1] {
+        let disk = SimIo::new(IoFaultScript::crash_at(k, k));
+        assert!(
+            on_disk(config(2), &disk)
+                .run_journaled(&fleet, path)
+                .is_err(),
+            "op {k} of {ops}: the crash must propagate"
+        );
+        disk.reboot();
+        let resumed = on_disk(config(2), &disk)
+            .resume(&fleet, path)
+            .expect("resume after reboot");
+        assert_eq!(
+            resumed.summaries_digest(),
+            golden,
+            "op {k} of {ops}: resume must match an uninterrupted run"
+        );
+    }
 }

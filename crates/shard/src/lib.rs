@@ -53,13 +53,14 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bios_core::catalog;
 use bios_faults::FaultPlan;
 use bios_gateway::{Disposition, Gateway, GatewayConfig, GatewayCounters, Priority, Request};
-use bios_quorum::{meter, QuorumConfig, QuorumScreen};
+use bios_quorum::{QuorumConfig, QuorumScreen};
 use bios_recover::{Fnv1a, RealIo, StorageIo};
-use bios_runtime::journal::{JournalError, JournalOptions};
+use bios_runtime::journal::JournalError;
 use bios_runtime::{parse_env_value, Fleet, Job, JobError, Runtime, RuntimeConfig};
 
 pub mod merge;
@@ -428,12 +429,14 @@ impl ShardedGateway {
                         _ => {}
                     }
                     if let Some(screen) = quorum.as_mut() {
-                        let metrics = self.gateways[host].runtime().metrics_handle();
                         if !result.verify_integrity() {
                             // The produce-time checksum no longer
                             // matches the payload: refuse to treat the
                             // value as clean and suspect the executor.
-                            metrics.record_corruption_caught(1);
+                            self.gateways[host]
+                                .runtime()
+                                .metrics_handle()
+                                .record_corruption_caught(1);
                             supervisor.observe(HealthEvent::CorruptionSuspect {
                                 shard: host,
                                 tick: *done_tick,
@@ -441,14 +444,14 @@ impl ShardedGateway {
                         } else {
                             let critical = outcome.priority == Priority::Recalibration;
                             let plan = chaos.tenant_plans.get(&tenant_names[slot]);
-                            if let Some(verdict) = screen.screen_result(plan, result, critical) {
-                                if verdict.disagreement {
-                                    supervisor.observe(HealthEvent::CorruptionSuspect {
-                                        shard: host,
-                                        tick: *done_tick,
-                                    });
-                                }
-                                meter(&verdict, &metrics);
+                            if screen
+                                .screen_result(plan, result, critical)
+                                .is_some_and(|verdict| verdict.disagreement)
+                            {
+                                supervisor.observe(HealthEvent::CorruptionSuspect {
+                                    shard: host,
+                                    tick: *done_tick,
+                                });
                             }
                         }
                     }
@@ -579,17 +582,27 @@ impl ShardedFleetReport {
 #[derive(Debug)]
 pub struct ShardedRuntime {
     shards: Vec<Runtime>,
+    storage: Arc<dyn StorageIo>,
 }
 
 impl ShardedRuntime {
     /// Builds `config.shards` runtimes from the config's per-shard
-    /// template.
+    /// template, journaling on the real filesystem.
     #[must_use]
     pub fn new(config: &ShardConfig) -> ShardedRuntime {
+        ShardedRuntime::with_storage(config, Arc::new(RealIo))
+    }
+
+    /// [`ShardedRuntime::new`] with every shard's journal segment on
+    /// `storage`, so the torture gate can crash or degrade individual
+    /// segments of one simulated disk deterministically.
+    #[must_use]
+    pub fn with_storage(config: &ShardConfig, storage: Arc<dyn StorageIo>) -> ShardedRuntime {
         ShardedRuntime {
             shards: (0..config.shards.max(1))
-                .map(|_| Runtime::new(config.runtime))
+                .map(|_| Runtime::with_storage(config.runtime, Arc::clone(&storage)))
                 .collect(),
+            storage,
         }
     }
 
@@ -647,23 +660,6 @@ impl ShardedRuntime {
         fleet: &Fleet,
         dir: impl AsRef<Path>,
     ) -> Result<ShardedFleetReport, JournalError> {
-        self.run_journaled_on(&RealIo, fleet, dir)
-    }
-
-    /// [`ShardedRuntime::run_journaled`] on an explicit storage
-    /// backend: every per-shard segment goes through `backend`, so the
-    /// torture gate can crash or degrade individual segments
-    /// deterministically.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedRuntime::run_journaled`].
-    pub fn run_journaled_on(
-        &self,
-        backend: &dyn StorageIo,
-        fleet: &Fleet,
-        dir: impl AsRef<Path>,
-    ) -> Result<ShardedFleetReport, JournalError> {
         let dir = dir.as_ref();
         let mut lines: Vec<Option<String>> = vec![None; fleet.len()];
         let mut per_shard_jobs = vec![0usize; self.shards.len()];
@@ -673,12 +669,8 @@ impl ShardedRuntime {
             }
             per_shard_jobs[shard] = jobs.len();
             let sub_fleet = fleet.with_jobs(jobs);
-            let report = self.shards[shard].run_journaled_on(
-                backend,
-                &sub_fleet,
-                Self::segment_path(dir, shard),
-                JournalOptions::default(),
-            )?;
+            let report =
+                self.shards[shard].run_journaled(&sub_fleet, Self::segment_path(dir, shard))?;
             for result in &report.results {
                 if let Some(&orig) = orig_of.get(result.index) {
                     lines[orig] = Some(result.digest_line());
@@ -715,22 +707,6 @@ impl ShardedRuntime {
         fleet: &Fleet,
         dir: impl AsRef<Path>,
     ) -> Result<ShardedFleetReport, JournalError> {
-        self.resume_on(&RealIo, fleet, dir)
-    }
-
-    /// [`ShardedRuntime::resume`] on an explicit storage backend; the
-    /// per-segment existence check consults the backend, so a SimIo
-    /// disk is honored end to end.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedRuntime::resume`].
-    pub fn resume_on(
-        &self,
-        backend: &dyn StorageIo,
-        fleet: &Fleet,
-        dir: impl AsRef<Path>,
-    ) -> Result<ShardedFleetReport, JournalError> {
         let dir = dir.as_ref();
         let mut lines: Vec<Option<String>> = vec![None; fleet.len()];
         let mut per_shard_jobs = vec![0usize; self.shards.len()];
@@ -743,8 +719,8 @@ impl ShardedRuntime {
             per_shard_jobs[shard] = jobs.len();
             let sub_fleet = fleet.with_jobs(jobs);
             let path = Self::segment_path(dir, shard);
-            let needs_fresh_run = if backend.exists(&path) {
-                match self.shards[shard].resume_on(backend, &sub_fleet, &path) {
+            let needs_fresh_run = if self.storage.exists(&path) {
+                match self.shards[shard].resume(&sub_fleet, &path) {
                     Ok(report) => {
                         resumed_jobs += report.resumed_jobs;
                         executed_jobs += report.executed_jobs;
@@ -771,12 +747,7 @@ impl ShardedRuntime {
                 true
             };
             if needs_fresh_run {
-                let report = self.shards[shard].run_journaled_on(
-                    backend,
-                    &sub_fleet,
-                    &path,
-                    JournalOptions::default(),
-                )?;
+                let report = self.shards[shard].run_journaled(&sub_fleet, &path)?;
                 executed_jobs += sub_fleet.len();
                 for result in &report.results {
                     if let Some(&orig) = orig_of.get(result.index) {
@@ -1070,9 +1041,9 @@ mod tests {
         let fleet = demo_fleet();
         let golden = Runtime::with_workers(2).run(&fleet).summaries_digest();
         let dir = PathBuf::from("/sim/mixed-health");
-        let sharded = ShardedRuntime::new(&shard_config(3, 2));
         let io = SimIo::perfect(0xD15C_0BAD);
-        let first = match sharded.run_journaled_on(&io, &fleet, &dir) {
+        let on_disk = || ShardedRuntime::with_storage(&shard_config(3, 2), Arc::new(io.clone()));
+        let first = match on_disk().run_journaled(&fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("journaled run failed: {e:?}"),
         };
@@ -1130,7 +1101,7 @@ mod tests {
             panic!("tearing segment failed: {e:?}");
         }
         // Fresh runtimes resume the mixed-health directory.
-        let resumed = match ShardedRuntime::new(&shard_config(3, 2)).resume_on(&io, &fleet, &dir) {
+        let resumed = match on_disk().resume(&fleet, &dir) {
             Ok(r) => r,
             Err(e) => panic!("mixed-health resume failed: {e:?}"),
         };
@@ -1161,8 +1132,10 @@ mod tests {
         for seed in 0..64u64 {
             let io = SimIo::new(IoFaultScript::healthy(seed).with_rates(0, 30, 0, 0));
             let dir = PathBuf::from(format!("/sim/enospc-{seed}"));
-            let sharded = ShardedRuntime::new(&shard_config(3, 2));
-            let report = match sharded.run_journaled_on(&io, &fleet, &dir) {
+            let on_disk =
+                || ShardedRuntime::with_storage(&shard_config(3, 2), Arc::new(io.clone()));
+            let sharded = on_disk();
+            let report = match sharded.run_journaled(&fleet, &dir) {
                 Ok(r) => r,
                 Err(_) => continue,
             };
@@ -1179,11 +1152,10 @@ mod tests {
                 "seed {seed}: a degraded run must still be correct"
             );
             io.set_script(IoFaultScript::healthy(seed));
-            let resumed =
-                match ShardedRuntime::new(&shard_config(3, 2)).resume_on(&io, &fleet, &dir) {
-                    Ok(r) => r,
-                    Err(e) => panic!("seed {seed}: resume failed: {e:?}"),
-                };
+            let resumed = match on_disk().resume(&fleet, &dir) {
+                Ok(r) => r,
+                Err(e) => panic!("seed {seed}: resume failed: {e:?}"),
+            };
             assert_eq!(
                 resumed.summaries_digest(),
                 golden,
