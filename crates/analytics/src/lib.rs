@@ -30,7 +30,6 @@
 //! # Ok::<(), bios_analytics::AnalyticsError>(())
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod calibration;

@@ -339,10 +339,11 @@ mod tests {
     #[test]
     fn facts_round_trip_through_the_cache_format() {
         let config = Config::default();
-        let src = "// bios-audit: allow(P-unwrap) — test waiver reason\n\
-                   pub fn digest() -> u64 { helper().unwrap() }\n\
+        let src = "pub fn digest() -> u64 { helper().unwrap_or(0) }\n\
+                   // bios-audit: allow(D-hash) — test waiver reason\n\
                    fn helper() -> Option<u64> { let m = std::collections::HashMap::new(); None }\n";
         let facts = analyze_file("crates/runtime/src/cache.rs", src, &config);
+        assert_eq!(facts.local_findings.len(), 1, "the waived D-hash site");
         let mut cache = FactsCache {
             stamp: config.fingerprint(),
             ..FactsCache::default()

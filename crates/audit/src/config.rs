@@ -1,20 +1,18 @@
 //! The rule set and its path-scoping table.
 //!
-//! Each rule belongs to one of six families keyed to this repo's
-//! invariants (DESIGN.md §11 and §16):
+//! Each rule belongs to one of five families keyed to this repo's
+//! invariants (DESIGN.md §11 and §16). Panic-freedom, durability-module
+//! indexing and `unsafe` are not here: clippy and rustc enforce them
+//! from the root `Cargo.toml` lint wall, and the audit keeps only what
+//! the toolchain cannot express.
 //!
 //! * **D — determinism**: digest/fingerprint/cache/journal/codec
 //!   modules must not observe iteration order, wall clocks, or thread
 //!   identity.
-//! * **P — panic-freedom**: non-test code must not contain
-//!   `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`dbg!`;
-//!   durability modules additionally must not index slices without
-//!   `get`.
 //! * **F — float hygiene**: solver and analytics code must not compare
 //!   floats with `==`/`!=` or truncate `f64` to `f32` with `as`.
-//! * **U — unsafe & API hygiene**: no `unsafe` anywhere; public `fn`s
-//!   in the physics crates must carry a doc comment naming physical
-//!   units.
+//! * **U — API hygiene**: public `fn`s in the physics crates must
+//!   carry a doc comment naming physical units.
 //! * **G — graph rules** (semantic, cross-file): `G-taint` proves the
 //!   D bans *transitively* over the approximate call graph from the
 //!   digest/fingerprint/journal entry points; `G-layer` proves the
@@ -43,20 +41,10 @@ pub enum Rule {
     DTime,
     /// D: `thread::current()` (thread identity) in a digest-path module.
     DThread,
-    /// P: `.unwrap()` in non-test code.
-    PUnwrap,
-    /// P: `.expect(…)` in non-test code.
-    PExpect,
-    /// P: `panic!`/`todo!`/`unimplemented!`/`dbg!` in non-test code.
-    PPanic,
-    /// P: slice/array indexing without `get` in a durability module.
-    PIndex,
     /// F: `==`/`!=` against a float expression in solver/analytics code.
     FEq,
     /// F: `as f32` truncation in solver/analytics code.
     FNarrow,
-    /// U: any `unsafe` block or fn.
-    UUnsafe,
     /// U: public `fn` without a unit-naming doc comment in a physics
     /// crate.
     UDoc,
@@ -84,13 +72,8 @@ impl Rule {
             Rule::DHash => "D-hash",
             Rule::DTime => "D-time",
             Rule::DThread => "D-thread",
-            Rule::PUnwrap => "P-unwrap",
-            Rule::PExpect => "P-expect",
-            Rule::PPanic => "P-panic",
-            Rule::PIndex => "P-index",
             Rule::FEq => "F-eq",
             Rule::FNarrow => "F-narrow",
-            Rule::UUnsafe => "U-unsafe",
             Rule::UDoc => "U-doc",
             Rule::GTaint => "G-taint",
             Rule::GLayer => "G-layer",
@@ -100,13 +83,12 @@ impl Rule {
         }
     }
 
-    /// One-letter family prefix (`D`, `P`, `F`, `U`, `G`, `L`, `W`).
+    /// One-letter family prefix (`D`, `F`, `U`, `G`, `L`, `W`).
     pub fn family(self) -> &'static str {
         match self {
             Rule::DHash | Rule::DTime | Rule::DThread => "D",
-            Rule::PUnwrap | Rule::PExpect | Rule::PPanic | Rule::PIndex => "P",
             Rule::FEq | Rule::FNarrow => "F",
-            Rule::UUnsafe | Rule::UDoc => "U",
+            Rule::UDoc => "U",
             Rule::GTaint | Rule::GLayer => "G",
             Rule::LLock | Rule::LSend => "L",
             Rule::WWaiver => "W",
@@ -118,13 +100,8 @@ impl Rule {
         Rule::DHash,
         Rule::DTime,
         Rule::DThread,
-        Rule::PUnwrap,
-        Rule::PExpect,
-        Rule::PPanic,
-        Rule::PIndex,
         Rule::FEq,
         Rule::FNarrow,
-        Rule::UUnsafe,
         Rule::UDoc,
         Rule::GTaint,
         Rule::GLayer,
@@ -162,23 +139,6 @@ impl Rule {
                  theorem is that digests are byte-identical at any (shard × worker) \
                  layout — thread identity in a digest path breaks it by construction."
             }
-            Rule::PUnwrap => {
-                ".unwrap() in non-test code converts recoverable states into aborts. \
-                 Propagate the error or handle the None arm."
-            }
-            Rule::PExpect => {
-                ".expect(..) panics exactly like .unwrap() — the message does not \
-                 make the abort recoverable. Propagate a typed error instead."
-            }
-            Rule::PPanic => {
-                "panic!/todo!/unimplemented!/dbg! must not ship: the runtime treats \
-                 worker panics as faults to contain, not as control flow."
-            }
-            Rule::PIndex => {
-                "Slice indexing in a durability module can panic on a torn frame \
-                 mid-write, turning one corrupt record into a lost journal. Use \
-                 .get(..) and treat the None as corruption to skip."
-            }
             Rule::FEq => {
                 "==/!= on floats is almost never the intended comparison after any \
                  arithmetic; use an epsilon comparison (bios_units::approx)."
@@ -186,10 +146,6 @@ impl Rule {
             Rule::FNarrow => {
                 "`as f32` silently drops half the mantissa in solver/analytics code; \
                  keep f64 end-to-end through the numeric path."
-            }
-            Rule::UUnsafe => {
-                "The workspace is 100% safe Rust by policy; there is no performance \
-                 or FFI need that justifies unsafe here."
             }
             Rule::UDoc => {
                 "Public fns in the physics crates that pass bare floats must name \
@@ -252,9 +208,6 @@ pub struct Config {
     /// Scope of the D family: modules whose bytes feed digests,
     /// fingerprints, cached outcomes, or durable journal frames.
     pub digest_paths: Vec<String>,
-    /// Scope of `P-index`: durability modules where an indexing panic
-    /// would tear a journal or snapshot mid-write.
-    pub index_paths: Vec<String>,
     /// Scope of the F family: solver and analytics code.
     pub float_paths: Vec<String>,
     /// Scope of `U-doc`: crates whose public API quantifies physics.
@@ -289,6 +242,8 @@ impl Default for Config {
                 "src/cache".into(),
                 "src/journal".into(),
                 "src/codec".into(),
+                // File-name entries: no file is named like this today;
+                // they cover a future `digest.rs` or `fingerprint.rs`.
                 "digest".into(),
                 "fingerprint".into(),
                 // The gateway's decision machines: every shed/trip/
@@ -321,13 +276,6 @@ impl Default for Config {
                 // prefix lengths must be pure in (seed, op-index) or
                 // torture schedules stop replaying byte-identically.
                 "recover/src/sim".into(),
-            ],
-            index_paths: vec![
-                "recover/src/codec".into(),
-                "recover/src/journal".into(),
-                "recover/src/sim".into(),
-                "runtime/src/cache".into(),
-                "runtime/src/journal".into(),
             ],
             float_paths: vec![
                 "analytics/src/".into(),
@@ -399,18 +347,9 @@ impl Config {
     pub fn in_scope(&self, rule: Rule, path: &str) -> bool {
         let scopes: &[String] = match rule {
             Rule::DHash | Rule::DTime | Rule::DThread => &self.digest_paths,
-            Rule::PIndex => &self.index_paths,
             Rule::FEq | Rule::FNarrow => &self.float_paths,
             Rule::UDoc => &self.doc_paths,
-            Rule::PUnwrap
-            | Rule::PExpect
-            | Rule::PPanic
-            | Rule::UUnsafe
-            | Rule::GTaint
-            | Rule::GLayer
-            | Rule::LLock
-            | Rule::LSend
-            | Rule::WWaiver => return true,
+            Rule::GTaint | Rule::GLayer | Rule::LLock | Rule::LSend | Rule::WWaiver => return true,
         };
         scopes.iter().any(|s| scope_matches(s, path))
     }

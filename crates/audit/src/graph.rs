@@ -307,6 +307,25 @@ fn collect_fns(
     }
 }
 
+/// The one matcher for the D-banned APIs, shared by the D rules and
+/// G-taint: the identifier `ident` followed by the code tokens `next`
+/// and `next2`. Returns the D rule and the API's display name.
+pub fn banned_api(
+    ident: &str,
+    next: Option<&str>,
+    next2: Option<&str>,
+) -> Option<(Rule, &'static str)> {
+    let path_to = |segment: &str| next == Some("::") && next2 == Some(segment);
+    match ident {
+        "HashMap" => Some((Rule::DHash, "HashMap")),
+        "HashSet" => Some((Rule::DHash, "HashSet")),
+        "Instant" if path_to("now") => Some((Rule::DTime, "Instant::now")),
+        "SystemTime" if path_to("now") => Some((Rule::DTime, "SystemTime::now")),
+        "thread" if path_to("current") => Some((Rule::DThread, "thread::current")),
+        _ => None,
+    }
+}
+
 /// Scan a function body (raw-token range) for call sites and D-banned
 /// API occurrences.
 fn scan_body(tokens: &[Token], start: usize, end: usize) -> (Vec<CallSite>, Vec<BannedSite>) {
@@ -325,27 +344,12 @@ fn scan_body(tokens: &[Token], start: usize, end: usize) -> (Vec<CallSite>, Vec<
         let next = code.get(k + 1).map(|&j| tokens[j].text.as_str());
         let next2 = code.get(k + 2).map(|&j| tokens[j].text.as_str());
 
-        match t.text.as_str() {
-            "HashMap" | "HashSet" => banned.push(BannedSite {
-                api: t.text.clone(),
+        if let Some((_, api)) = banned_api(&t.text, next, next2) {
+            banned.push(BannedSite {
+                api: api.to_string(),
                 line: t.line,
                 col: t.col,
-            }),
-            "Instant" | "SystemTime" if next == Some("::") && next2 == Some("now") => {
-                banned.push(BannedSite {
-                    api: format!("{}::now", t.text),
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-            "thread" if next == Some("::") && next2 == Some("current") => {
-                banned.push(BannedSite {
-                    api: "thread::current".to_string(),
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-            _ => {}
+            });
         }
 
         // A call: ident immediately followed by `(` — but not a macro

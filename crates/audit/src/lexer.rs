@@ -5,8 +5,8 @@
 //! numeric literals (with a float/int distinction), string/char
 //! literals in all their raw/byte spellings, lifetimes, comments
 //! (with the doc/non-doc distinction), and multi-character operators.
-//! Everything the rules match on (`unwrap`, `HashMap`, `==`, `unsafe`,
-//! …) must never be confused with the same characters inside a string
+//! Everything the rules match on (`HashMap`, `Instant::now`, `==`,
+//! `as f32`, …) must never be confused with the same characters inside a string
 //! literal or a comment, and every token must carry an exact
 //! `line:col` so findings are clickable; those two properties are the
 //! whole point of hand-rolling this instead of substring search.

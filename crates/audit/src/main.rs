@@ -16,8 +16,10 @@
 //! Exit status: 0 when the tree is clean (waivers are fine), 1 when
 //! any finding survives, 2 on usage or I/O errors.
 
-// CLI output is the product of this binary.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "CLI output is the product of this binary"
+)]
 
 use bios_audit::{audit_source, config::Config, report, walk, Rule};
 use std::fs;

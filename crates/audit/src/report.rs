@@ -5,10 +5,12 @@
 //! `schema_version` field so future PRs can track finding/waiver
 //! counts over time. Schema 2 adds the semantic-pass fields:
 //! per-family counts, the G-taint call chains, the facts-cache
-//! counters, and `elapsed_ms`. The elapsed time is the report's *only*
-//! impure field — everything else is a pure function of the tree, so
-//! `scripts/check.sh` can grep the schema and counts stably while the
-//! timing stays observable.
+//! counters, and `elapsed_ms`. Schema 3 drops the `P` family and
+//! `U-unsafe`, which clippy and rustc now enforce, from
+//! `findings_by_family` and `findings_by_rule`. The elapsed time is
+//! the report's *only* impure field — everything else is a pure
+//! function of the tree, so `scripts/check.sh` can grep the schema and
+//! counts stably while the timing stays observable.
 
 use crate::cache::CacheStats;
 use crate::config::Rule;
@@ -18,7 +20,7 @@ use std::collections::BTreeMap;
 
 /// Bump when the report shape changes. `scripts/check.sh` refuses
 /// reports with a schema it does not know.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Everything the report renders, gathered by the caller.
 #[derive(Debug, Default)]
@@ -52,7 +54,7 @@ pub fn render_json(input: &ReportInput<'_>) -> String {
         by_rule.insert(rule.id(), 0);
     }
     let mut by_family: BTreeMap<&str, usize> = BTreeMap::new();
-    for family in ["D", "P", "F", "U", "G", "L", "W"] {
+    for family in ["D", "F", "U", "G", "L", "W"] {
         by_family.insert(family, 0);
     }
     for f in findings.iter() {
@@ -181,8 +183,8 @@ mod tests {
             path: "crates/x/src/lib.rs".into(),
             line: 3,
             col: 7,
-            rule: Rule::PUnwrap,
-            message: "`.unwrap()` with \"quotes\"".into(),
+            rule: Rule::FEq,
+            message: "`==` with \"quotes\"".into(),
         }];
         let waivers = vec![WaiverRecord {
             path: "crates/x/src/lib.rs".into(),
@@ -209,11 +211,13 @@ mod tests {
         let a = render_json(&input);
         let b = render_json(&input);
         assert_eq!(a, b, "report must be a pure function of its inputs");
-        assert!(a.contains("\"schema_version\": 2"));
+        assert!(a.contains("\"schema_version\": 3"));
         assert!(a.contains("\"elapsed_ms\": 12"));
         assert!(a.contains("\\\"quotes\\\""));
-        assert!(a.contains("\"P-unwrap\": 1"));
-        assert!(a.contains("\"findings_by_family\""));
+        assert!(a.contains("\"F-eq\": 1"));
+        assert!(a.contains(
+            "\"findings_by_family\": {\"D\": 0, \"F\": 1, \"G\": 0, \"L\": 0, \"U\": 0, \"W\": 0}"
+        ));
         assert!(a.contains("\"hit_rate\": 0.800"));
         assert!(a.contains("\"chain\": [\"x::digest\", \"x::helper\"]"));
         assert!(a.ends_with("}\n"));

@@ -26,7 +26,7 @@
 //! in a deterministic order.
 
 use crate::config::{Config, Rule};
-use crate::graph::{extract_facts, fnv1a, FileFacts};
+use crate::graph::{banned_api, extract_facts, fnv1a, FileFacts};
 use crate::items::{parse_items, Item, ItemKind};
 use crate::lexer::{tokenize, Token, TokenKind};
 
@@ -84,18 +84,11 @@ pub struct AuditOutcome {
     pub waivers: Vec<WaiverRecord>,
 }
 
-/// Keywords that can directly precede `[` without it being an index
-/// expression (e.g. `return [0; 4]`, `in [a, b]`).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "return", "in", "as", "if", "else", "match", "move", "mut", "ref", "break", "box", "dyn",
-    "impl", "where", "let", "const", "static", "use", "mod", "fn", "type", "loop", "while", "for",
-];
-
 /// Audit a single file's source text.
 ///
 /// `path` should be repo-relative with forward slashes; it is used for
 /// rule scoping and is echoed into the findings. This runs every
-/// single-file rule (D/P/F/U/L) and applies the file's waivers; the
+/// single-file rule (D/F/U/L) and applies the file's waivers; the
 /// cross-file G rules need the whole workspace and live in
 /// [`crate::workspace`].
 pub fn audit_source(path: &str, source: &str, config: &Config) -> AuditOutcome {
@@ -107,7 +100,7 @@ pub fn audit_source(path: &str, source: &str, config: &Config) -> AuditOutcome {
 }
 
 /// Analyze one file into its pre-waiver [`FileFacts`]: local findings
-/// (D/P/F/U/L), declared waivers, and the call/dependency facts the
+/// (D/F/U/L), declared waivers, and the call/dependency facts the
 /// graph passes consume. Pure in `(path, source, config)` — the unit
 /// the FNV cache stores.
 pub fn analyze_file(path: &str, source: &str, config: &Config) -> FileFacts {
@@ -401,7 +394,8 @@ fn collect_waivers(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) ->
     waivers
 }
 
-/// The lexical pattern rules (families D, P, F and `U-unsafe`).
+/// The lexical pattern rules: the D family, through the matcher
+/// G-taint shares ([`banned_api`]), and the F family.
 fn run_token_rules(
     path: &str,
     tokens: &[Token],
@@ -410,172 +404,77 @@ fn run_token_rules(
     config: &Config,
     findings: &mut Vec<Finding>,
 ) {
-    let push = |rule: Rule, tok: &Token, message: String, findings: &mut Vec<Finding>| {
-        if config.in_scope(rule, path) {
-            findings.push(Finding {
-                path: path.to_string(),
-                line: tok.line,
-                col: tok.col,
-                rule,
-                message,
-            });
-        }
-    };
-
     for (k, &i) in code.iter().enumerate() {
         if masked[i] {
             continue;
         }
         let t = &tokens[i];
-        let prev = k
-            .checked_sub(1)
-            .and_then(|p| code.get(p))
-            .map(|&j| &tokens[j]);
-        let next = code.get(k + 1).map(|&j| &tokens[j]);
-        let next2 = code.get(k + 2).map(|&j| &tokens[j]);
+        let at = |k: Option<usize>| k.and_then(|k| code.get(k)).map(|&j| &tokens[j]);
+        let (prev, next, next2) = (at(k.checked_sub(1)), at(Some(k + 1)), at(Some(k + 2)));
+        let (next_text, next2_text) = (
+            next.map(|t| t.text.as_str()),
+            next2.map(|t| t.text.as_str()),
+        );
 
-        match t.kind {
-            TokenKind::Ident => match t.text.as_str() {
-                "unwrap" | "expect"
-                    if prev.map(|p| p.text == ".").unwrap_or(false)
-                        && next.map(|n| n.text == "(").unwrap_or(false) =>
-                {
-                    let (rule, msg) = if t.text == "unwrap" {
-                        (
-                            Rule::PUnwrap,
-                            "`.unwrap()` in non-test code — propagate the error or \
-                             handle the None case"
-                                .to_string(),
-                        )
-                    } else {
-                        (
-                            Rule::PExpect,
-                            "`.expect(..)` in non-test code — propagate the error \
-                             instead of panicking"
-                                .to_string(),
-                        )
-                    };
-                    push(rule, t, msg, findings);
-                }
-                "panic" | "todo" | "unimplemented" | "dbg"
-                    if next.map(|n| n.text == "!").unwrap_or(false)
-                        // `core::panic::…` paths and `panic` idents in
-                        // use-statements don't have a following `!`.
-                        && prev.map(|p| p.text != "::").unwrap_or(true) =>
-                {
-                    push(
-                        Rule::PPanic,
-                        t,
-                        format!(
-                            "`{}!` in non-test code — return a typed error instead",
-                            t.text
-                        ),
-                        findings,
-                    );
-                }
-                "HashMap" | "HashSet" => {
-                    push(
-                        Rule::DHash,
-                        t,
-                        format!(
-                            "`{}` in a digest-path module — iteration order is \
-                             nondeterministic; use `BTree{}`",
-                            t.text,
-                            &t.text[4..]
-                        ),
-                        findings,
-                    );
-                }
-                "Instant" | "SystemTime"
-                    if next.map(|n| n.text == "::").unwrap_or(false)
-                        && next2.map(|n| n.text == "now").unwrap_or(false) =>
-                {
-                    push(
-                        Rule::DTime,
-                        t,
-                        format!(
-                            "`{}::now()` in a digest-path module — wall-clock reads \
-                             make replay nondeterministic",
-                            t.text
-                        ),
-                        findings,
-                    );
-                }
-                "thread"
-                    if next.map(|n| n.text == "::").unwrap_or(false)
-                        && next2.map(|n| n.text == "current").unwrap_or(false) =>
-                {
-                    push(
-                        Rule::DThread,
-                        t,
-                        "`thread::current()` in a digest-path module — thread \
-                         identity must not reach digested bytes"
-                            .to_string(),
-                        findings,
-                    );
-                }
-                "as" if next.map(|n| n.text == "f32").unwrap_or(false) => {
-                    push(
-                        Rule::FNarrow,
-                        t,
-                        "`as f32` narrowing in solver/analytics code — keep f64 \
-                         through the numeric path"
-                            .to_string(),
-                        findings,
-                    );
-                }
-                "unsafe" => {
-                    push(
-                        Rule::UUnsafe,
-                        t,
-                        "`unsafe` is not permitted anywhere in this workspace".to_string(),
-                        findings,
-                    );
-                }
-                _ => {}
+        let hit = match t.kind {
+            TokenKind::Ident => match banned_api(&t.text, next_text, next2_text) {
+                Some((rule, api)) => Some((rule, banned_message(rule, api))),
+                None if t.text == "as" && next_text == Some("f32") => Some((
+                    Rule::FNarrow,
+                    "`as f32` narrowing in solver/analytics code — keep f64 \
+                     through the numeric path"
+                        .to_string(),
+                )),
+                None => None,
             },
             TokenKind::Punct if t.text == "==" || t.text == "!=" => {
                 let is_float =
-                    |tok: Option<&Token>| tok.map(|t| t.kind == TokenKind::Float).unwrap_or(false);
+                    |tok: Option<&Token>| tok.is_some_and(|t| t.kind == TokenKind::Float);
                 // `x == 0.0`, `0.0 == x`, and `x == -1.0`.
-                let neg_float = next.map(|n| n.text == "-").unwrap_or(false)
-                    && next2.map(|n| n.kind == TokenKind::Float).unwrap_or(false);
-                if is_float(prev) || is_float(next) || neg_float {
-                    push(
+                let neg_float = next_text == Some("-") && is_float(next2);
+                (is_float(prev) || is_float(next) || neg_float).then(|| {
+                    (
                         Rule::FEq,
-                        t,
                         format!(
                             "`{}` against a float literal — use an epsilon \
                              comparison (bios_units::approx)",
                             t.text
                         ),
-                        findings,
-                    );
-                }
+                    )
+                })
             }
-            TokenKind::Punct if t.text == "[" => {
-                let indexes = match prev {
-                    Some(p) => {
-                        (p.kind == TokenKind::Ident
-                            && !NON_INDEX_KEYWORDS.contains(&p.text.as_str()))
-                            || p.text == ")"
-                            || p.text == "]"
-                    }
-                    None => false,
-                };
-                if indexes {
-                    push(
-                        Rule::PIndex,
-                        t,
-                        "slice indexing in a durability module — use `.get(..)` so a \
-                         torn frame cannot panic mid-write"
-                            .to_string(),
-                        findings,
-                    );
-                }
+            _ => None,
+        };
+        if let Some((rule, message)) = hit {
+            if config.in_scope(rule, path) {
+                findings.push(Finding {
+                    path: path.to_string(),
+                    line: t.line,
+                    col: t.col,
+                    rule,
+                    message,
+                });
             }
-            _ => {}
         }
+    }
+}
+
+/// The D-family finding message for a banned API.
+fn banned_message(rule: Rule, api: &str) -> String {
+    match rule {
+        Rule::DHash => format!(
+            "`{api}` in a digest-path module — iteration order is \
+             nondeterministic; use `BTree{}`",
+            api.trim_start_matches("Hash")
+        ),
+        Rule::DTime => format!(
+            "`{api}()` in a digest-path module — wall-clock reads \
+             make replay nondeterministic"
+        ),
+        _ => format!(
+            "`{api}()` in a digest-path module — thread \
+             identity must not reach digested bytes"
+        ),
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The audit walks `crates/*/src` (every crate, including the bench
 //! bin layer) plus the facade's own `src/`. Integration tests under
-//! `crates/*/tests` are deliberately out of scope — tests may unwrap —
-//! and so are fixtures and `target/`.
+//! `crates/*/tests` are deliberately out of scope — tests may use wall
+//! clocks and hash maps — and so are fixtures and `target/`.
 
 use std::fs;
 use std::io;

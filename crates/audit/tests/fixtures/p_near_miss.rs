@@ -1,5 +1,8 @@
-//! P-family near-miss fixture: nothing here may fire even under a
-//! P-index-scoped path.
+//! Toolchain lint-wall near-miss fixture: staged like `p_firing.rs`,
+//! with the durability modules' indexing lint on, nothing here may
+//! raise a panic-freedom, indexing, `unsafe` or stale-waiver lint.
+
+#![deny(clippy::indexing_slicing)]
 
 fn checked(xs: &[u64], flag: Option<u64>) -> u64 {
     // `unwrap_or` / `map_or` are the checked cousins, not `unwrap`.
@@ -8,7 +11,6 @@ fn checked(xs: &[u64], flag: Option<u64>) -> u64 {
     let arr = [a; 4];
     // `.get()` is the checked indexing path.
     let first = xs.first().copied().unwrap_or_default();
-    // A tuple-struct-ish call named like the macro is not the macro.
     first + arr.len() as u64
 }
 

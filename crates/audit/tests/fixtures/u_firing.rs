@@ -10,8 +10,3 @@ pub fn undocumented_bare_float(current: f64) -> f64 {
 pub fn documented_but_vague(signal: f64) -> f64 {
     signal * 2.0
 }
-
-fn later(x: u64) -> u64 {
-    let y = unsafe { std::mem::transmute::<u64, i64>(x) };
-    y.unsigned_abs()
-}

@@ -3,14 +3,14 @@
 //! second finding standing, and an unused or reasonless waiver must
 //! itself be reported.
 
-fn waived(flag: Option<u64>) -> u64 {
-    // bios-audit: allow(P-expect) — fixture: this one is justified
-    let a = flag.expect("waived occurrence");
-    let b = flag.expect("unwaived occurrence");
-    a + b
+fn waived() -> usize {
+    // bios-audit: allow(D-hash) — fixture: this one is justified
+    let a: std::collections::HashSet<u64> = Default::default();
+    let b: std::collections::HashSet<u64> = Default::default();
+    a.len() + b.len()
 }
 
-// bios-audit: allow(D-hash) — names a rule that never fires here
+// bios-audit: allow(F-eq) — names a rule that never fires here
 fn unused_waiver_target() -> u64 {
     7
 }

@@ -1,10 +1,12 @@
 //! Golden-file tests: one firing and one near-miss fixture per rule
 //! family, plus the waiver semantics (suppresses exactly one finding;
-//! unused or reasonless waivers are themselves findings).
+//! unused or reasonless waivers are themselves findings). The
+//! `p_*` fixtures belong to the toolchain lints and are checked by
+//! the clippy fixture gate in `scripts/check.sh`, not here.
 
 use bios_audit::{audit_source, Config, Rule};
 
-/// A path inside the digest scope, so D and P-index rules apply.
+/// A path inside the digest scope, so the D rules apply.
 const DIGEST_PATH: &str = "crates/runtime/src/cache.rs";
 /// A path inside the float scope.
 const FLOAT_PATH: &str = "crates/analytics/src/fixture.rs";
@@ -34,7 +36,7 @@ fn d_fixture_fires_all_three_determinism_rules() {
 #[test]
 fn d_rules_are_path_scoped() {
     // The identical source outside the digest scope: D rules are
-    // silent; only the universally scoped P rules may still fire.
+    // silent.
     let ids = rule_ids(UNSCOPED_PATH, include_str!("fixtures/d_firing.rs"));
     assert_eq!(count(&ids, "D-hash"), 0, "{ids:?}");
     assert_eq!(count(&ids, "D-time"), 0, "{ids:?}");
@@ -44,30 +46,6 @@ fn d_rules_are_path_scoped() {
 #[test]
 fn d_near_miss_is_clean() {
     let ids = rule_ids(DIGEST_PATH, include_str!("fixtures/d_near_miss.rs"));
-    assert!(ids.is_empty(), "{ids:?}");
-}
-
-#[test]
-fn p_fixture_fires_every_panic_rule() {
-    let ids = rule_ids(DIGEST_PATH, include_str!("fixtures/p_firing.rs"));
-    assert_eq!(count(&ids, "P-unwrap"), 1, "{ids:?}");
-    assert_eq!(count(&ids, "P-expect"), 1, "{ids:?}");
-    // `panic!` and `todo!` both land on the macro rule.
-    assert_eq!(count(&ids, "P-panic"), 2, "{ids:?}");
-    assert_eq!(count(&ids, "P-index"), 1, "{ids:?}");
-}
-
-#[test]
-fn p_index_is_path_scoped_but_unwrap_is_not() {
-    let ids = rule_ids(UNSCOPED_PATH, include_str!("fixtures/p_firing.rs"));
-    assert_eq!(count(&ids, "P-index"), 0, "{ids:?}");
-    // Panic-freedom applies everywhere.
-    assert_eq!(count(&ids, "P-unwrap"), 1, "{ids:?}");
-}
-
-#[test]
-fn p_near_miss_is_clean() {
-    let ids = rule_ids(DIGEST_PATH, include_str!("fixtures/p_near_miss.rs"));
     assert!(ids.is_empty(), "{ids:?}");
 }
 
@@ -91,17 +69,15 @@ fn f_near_miss_is_clean() {
 }
 
 #[test]
-fn u_fixture_fires_doc_and_unsafe_rules() {
+fn u_fixture_fires_the_doc_rule() {
     let ids = rule_ids(DOC_PATH, include_str!("fixtures/u_firing.rs"));
     assert_eq!(count(&ids, "U-doc"), 2, "{ids:?}");
-    assert_eq!(count(&ids, "U-unsafe"), 1, "{ids:?}");
 }
 
 #[test]
-fn u_unsafe_applies_everywhere_but_u_doc_is_scoped() {
+fn u_doc_is_path_scoped() {
     let ids = rule_ids(UNSCOPED_PATH, include_str!("fixtures/u_firing.rs"));
     assert_eq!(count(&ids, "U-doc"), 0, "{ids:?}");
-    assert_eq!(count(&ids, "U-unsafe"), 1, "{ids:?}");
 }
 
 #[test]
@@ -113,23 +89,23 @@ fn u_near_miss_is_clean() {
 #[test]
 fn waiver_suppresses_exactly_one_finding() {
     let outcome = audit_source(
-        UNSCOPED_PATH,
+        DIGEST_PATH,
         include_str!("fixtures/waivers.rs"),
         &Config::default(),
     );
-    // The waived `.expect` is silent; the second one still fires.
-    let expects: Vec<_> = outcome
+    // The waived `HashSet` is silent; the second one still fires.
+    let hashes: Vec<_> = outcome
         .findings
         .iter()
-        .filter(|f| f.rule == Rule::PExpect)
+        .filter(|f| f.rule == Rule::DHash)
         .collect();
-    assert_eq!(expects.len(), 1, "{:?}", outcome.findings);
-    assert_eq!(expects[0].line, 9, "{:?}", expects[0]);
-    // The used waiver is recorded as used; the decoy D-hash one is not,
+    assert_eq!(hashes.len(), 1, "{:?}", outcome.findings);
+    assert_eq!(hashes[0].line, 9, "{:?}", hashes[0]);
+    // The used waiver is recorded as used; the decoy F-eq one is not,
     // and surfaces as a W-waiver finding.
     let used: Vec<_> = outcome.waivers.iter().filter(|w| w.used).collect();
     assert_eq!(used.len(), 1, "{:?}", outcome.waivers);
-    assert_eq!(used[0].rule, "P-expect");
+    assert_eq!(used[0].rule, "D-hash");
     assert_eq!(
         outcome
             .findings
@@ -144,8 +120,8 @@ fn waiver_suppresses_exactly_one_finding() {
 
 #[test]
 fn waiver_without_reason_is_reported() {
-    let source = "// bios-audit: allow(P-unwrap)\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let outcome = audit_source(UNSCOPED_PATH, source, &Config::default());
+    let source = "// bios-audit: allow(D-hash)\nfn f() -> usize { HashSet::<u8>::new().len() }\n";
+    let outcome = audit_source(DIGEST_PATH, source, &Config::default());
     assert!(
         outcome.findings.iter().any(|f| f.rule == Rule::WWaiver),
         "{:?}",
@@ -156,10 +132,10 @@ fn waiver_without_reason_is_reported() {
 #[test]
 fn family_letter_waives_any_rule_in_the_family() {
     let source =
-        "// bios-audit: allow(P) — family-wide waiver\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let outcome = audit_source(UNSCOPED_PATH, source, &Config::default());
+        "// bios-audit: allow(D) — family-wide waiver\nfn f() -> usize { HashSet::<u8>::new().len() }\n";
+    let outcome = audit_source(DIGEST_PATH, source, &Config::default());
     assert!(
-        outcome.findings.iter().all(|f| f.rule != Rule::PUnwrap),
+        outcome.findings.iter().all(|f| f.rule != Rule::DHash),
         "{:?}",
         outcome.findings
     );

@@ -1,8 +1,11 @@
 //! Wall-clock benchmarks of the physics kernels: diffusion stepping,
 //! voltammetry digital simulation, and enzyme-kinetics evaluation.
 
-// A benchmark aborts on setup failure like a test does.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a benchmark aborts on setup failure like a test does"
+)]
 
 use std::hint::black_box;
 

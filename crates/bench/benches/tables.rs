@@ -2,8 +2,11 @@
 //! reproducing the paper's entire evaluation, sequentially and through
 //! the fleet runtime.
 
-// A benchmark aborts on setup failure like a test does.
-#![allow(clippy::expect_used, clippy::unwrap_used)]
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "a benchmark aborts on setup failure like a test does"
+)]
 
 use std::hint::black_box;
 

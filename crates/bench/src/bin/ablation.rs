@@ -4,8 +4,10 @@
 //!
 //! Usage: `cargo run -p bios-bench --bin ablation [-- --seed N]`
 
-// A CLI binary reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "a CLI binary reports on stdout by design"
+)]
 
 fn main() {
     bios_bench::silence_injected_panics();

@@ -20,8 +20,10 @@
 //! fails. The binary takes no flags: it re-spawns itself with one
 //! internal argument only to run the crash scenario's crashing child.
 
-// A CLI gate reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "a CLI gate reports on stdout by design"
+)]
 
 use std::fmt::Display;
 use std::path::Path;

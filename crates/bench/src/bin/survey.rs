@@ -5,8 +5,10 @@
 //!
 //! Usage: `cargo run -p bios-bench --release --bin survey [-- --workers N]`
 
-// A CLI binary reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "a CLI binary reports on stdout by design"
+)]
 
 use std::io::Write;
 

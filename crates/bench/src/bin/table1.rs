@@ -3,8 +3,10 @@
 //!
 //! Usage: `cargo run -p bios-bench --bin table1`
 
-// A CLI binary reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "a CLI binary reports on stdout by design"
+)]
 
 fn main() {
     print!("{}", bios_bench::render_table1());

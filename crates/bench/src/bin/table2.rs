@@ -12,8 +12,10 @@
 //!   cargo run -p bios-bench --bin table2 -- --workers 8  # pool size
 //!   cargo run -p bios-bench --bin table2 -- --sequential # parity path
 
-// A CLI binary reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "a CLI binary reports on stdout by design"
+)]
 
 use bios_bench::{table2_blocks, BlockReport};
 use bios_core::catalog;

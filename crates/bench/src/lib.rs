@@ -19,8 +19,6 @@
 //! throughput of the physics kernels, the calibration protocols, and the
 //! full table regeneration via the std-only [`timing`] harness.
 
-#![warn(missing_docs)]
-
 pub mod ablation;
 pub mod timing;
 pub mod torture;

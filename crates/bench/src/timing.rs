@@ -7,8 +7,10 @@
 //! `cargo bench -p bios-bench` exactly as before — the `[[bench]]`
 //! targets keep `harness = false` and drive this module from `main`.
 
-// Reporting measurements on stdout is this harness's entire job.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "reporting measurements on stdout is this harness's entire job"
+)]
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -430,7 +430,10 @@ fn carbon_paste_disc() -> Electrode {
 // catalog round-trip tests execute every entry, so a malformed literal
 // cannot survive CI. Panicking here beats threading a Result through
 // every consumer of the static table.
-#[allow(clippy::too_many_arguments, clippy::expect_used)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one positional argument per column of the paper's table"
+)]
 fn entry(
     id: &str,
     label: &str,
@@ -445,6 +448,19 @@ fn entry(
     technique: Technique,
     sweep_top_milli_molar: f64,
 ) -> CatalogEntry {
+    #[expect(
+        clippy::expect_used,
+        reason = "static paper constant, exercised by every catalog test"
+    )]
+    let linear_range =
+        ConcentrationRange::from_milli_molar(range_milli_molar.0, range_milli_molar.1)
+            .expect("paper range is well-formed");
+    #[expect(
+        clippy::expect_used,
+        reason = "static paper constant, exercised by every catalog test"
+    )]
+    let sweep = ConcentrationRange::from_milli_molar(0.0, sweep_top_milli_molar)
+        .expect("sweep is well-formed");
     CatalogEntry {
         id: id.to_owned(),
         label: label.to_owned(),
@@ -452,21 +468,14 @@ fn entry(
         analyte,
         paper: PaperFigures {
             sensitivity: Sensitivity::new(sensitivity),
-            linear_range: ConcentrationRange::from_milli_molar(
-                range_milli_molar.0,
-                range_milli_molar.1,
-            )
-            // bios-audit: allow(P-expect) — static paper constant, exercised by every catalog test
-            .expect("paper range is well-formed"),
+            linear_range,
             detection_limit: lod_micro_molar.map(Molar::from_micro_molar),
         },
         electrode,
         modification,
         chemistry,
         technique,
-        sweep: ConcentrationRange::from_milli_molar(0.0, sweep_top_milli_molar)
-            // bios-audit: allow(P-expect) — static paper constant, exercised by every catalog test
-            .expect("sweep is well-formed"),
+        sweep,
         sweep_points: 25,
         film_activity: 1.0,
         is_ours: citation.is_none(),

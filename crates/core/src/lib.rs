@@ -39,7 +39,6 @@
 //! # Ok::<(), bios_core::CoreError>(())
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod analyte;

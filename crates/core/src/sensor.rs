@@ -522,7 +522,10 @@ impl BiosensorBuilder {
     pub fn build(self) -> Biosensor {
         match self.try_build() {
             Ok(sensor) => sensor,
-            // bios-audit: allow(P-panic) — documented builder contract; try_build is the checked path
+            #[expect(
+                clippy::panic,
+                reason = "documented builder contract; try_build is the checked path"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

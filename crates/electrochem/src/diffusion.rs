@@ -256,7 +256,10 @@ impl DiffusionGrid {
         cprime.resize(m, 0.0);
 
         // Assemble RHS from the old field (explicit half).
-        #[allow(clippy::needless_range_loop)] // i indexes three arrays with offsets
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "i indexes three arrays with offsets"
+        )]
         for i in 0..m {
             let left = if i == 0 {
                 match self.surface {

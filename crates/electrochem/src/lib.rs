@@ -48,7 +48,6 @@
 //! assert!(i.as_micro_amps() > 0.0);
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod butler_volmer;

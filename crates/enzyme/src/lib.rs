@@ -33,7 +33,6 @@
 //! assert!((v.as_per_second() - 350.0).abs() < 1e-9);
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cyp;

@@ -49,9 +49,6 @@
 //! assert!(report.clean_drain());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::fmt;
 use std::time::Duration;
 

@@ -69,7 +69,7 @@ pub fn savitzky_golay(samples: &[f64], window: usize) -> Vec<f64> {
             &[-21.0, 14.0, 39.0, 54.0, 59.0, 54.0, 39.0, 14.0, -21.0],
             231.0,
         ),
-        // bios-audit: allow(P-panic) — documented contract: window ∈ {5, 7, 9}
+        #[expect(clippy::panic, reason = "documented contract: window ∈ {5, 7, 9}")]
         _ => panic!("window must be 5, 7, or 9"),
     };
     let half = window / 2;

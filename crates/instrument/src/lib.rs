@@ -23,7 +23,6 @@
 //! assert!((reading.as_nano_amps() - 250.0).abs() < 25.0);
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod adc;

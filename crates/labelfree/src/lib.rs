@@ -24,7 +24,6 @@
 //! assert!(bound > blank);
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod qcm;

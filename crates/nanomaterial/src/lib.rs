@@ -29,7 +29,6 @@
 //! assert!(cnt.enzyme_capacity_gain() > bare.enzyme_capacity_gain());
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod dispersion;

@@ -32,8 +32,6 @@
 //! assert!(g.is_finite());
 //! ```
 
-#![warn(missing_docs)]
-
 mod fnv;
 
 pub use fnv::Fnv1a;

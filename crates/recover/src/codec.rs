@@ -11,6 +11,10 @@
 //! Readers never panic on hostile bytes: every decode path returns a
 //! typed [`CodecError`] so callers can quarantine the corruption.
 
+// A durability module: an indexing panic on a torn frame would lose
+// the journal or snapshot mid-write, so index with `.get(..)`.
+#![deny(clippy::indexing_slicing)]
+
 use std::io::{self, Read, Write};
 
 use bios_prng::Fnv1a;
@@ -280,7 +284,10 @@ enum Fill {
 fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<Fill> {
     let mut filled = 0;
     while filled < buf.len() {
-        // bios-audit: allow(P-index) — `filled < buf.len()` is the loop guard
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`filled < buf.len()` is the loop guard"
+        )]
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Ok(if filled == 0 {

@@ -43,6 +43,10 @@
 //! simulated crashes surface immediately so the caller can retire the
 //! journal or die honestly.
 
+// A durability module: an indexing panic on a torn frame would lose
+// the journal or snapshot mid-write, so index with `.get(..)`.
+#![deny(clippy::indexing_slicing)]
+
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;

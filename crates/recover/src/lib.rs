@@ -49,7 +49,6 @@
 //! # Ok::<(), bios_recover::JournalError>(())
 //! ```
 
-#![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod codec;

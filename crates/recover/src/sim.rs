@@ -30,6 +30,10 @@
 //! immediately), or crash (the simulated process is gone; only the
 //! torture harness continues past it).
 
+// A durability module: an indexing panic on a torn frame would lose
+// the journal or snapshot mid-write, so index with `.get(..)`.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::OpenOptions;

@@ -5,9 +5,11 @@
 //! typed [`JournalError`] — never a panic and never a silently wrong
 //! answer (jobs that survived the damage must decode verbatim).
 
-// Test setup helpers abort on I/O failure like the tests themselves;
-// clippy only auto-exempts `#[test]` functions.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test setup helpers abort on I/O failure like the tests themselves; clippy only auto-exempts `#[test]` functions"
+)]
 
 use std::path::PathBuf;
 

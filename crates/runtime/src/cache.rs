@@ -28,6 +28,10 @@
 //! counting* — never serving — any entry that fails its checksum or
 //! decodes to non-finite physics.
 
+// A durability module: an indexing panic on a torn frame would lose
+// the journal or snapshot mid-write, so index with `.get(..)`.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -146,11 +150,14 @@ impl ResultCache {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`% SHARDS` keeps the index in bounds"
+    )]
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
-        // bios-audit: allow(P-index) — `% SHARDS` keeps the index in bounds
         &self.shards[(hasher.finish() as usize) % SHARDS]
     }
 

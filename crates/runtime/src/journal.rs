@@ -31,6 +31,10 @@
 //! # Ok::<(), bios_runtime::journal::JournalError>(())
 //! ```
 
+// A durability module: an indexing panic on a torn frame would lose
+// the journal or snapshot mid-write, so index with `.get(..)`.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -375,7 +379,10 @@ impl Runtime {
         }
         let fresh = (!sub_jobs.is_empty()).then(|| {
             self.run_with_observer(&fleet.with_jobs(sub_jobs), |result| {
-                // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract"
+                )]
                 sink.append(orig_of[result.index] as u64, result);
             })
         });
@@ -383,8 +390,11 @@ impl Runtime {
         // Merge journaled and fresh results into index order.
         let mut fresh_lines: BTreeMap<usize, (Disposition, String)> = BTreeMap::new();
         for result in fresh.iter().flat_map(|report| &report.results) {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract"
+            )]
             fresh_lines.insert(
-                // bios-audit: allow(P-index) — result.index < sub_fleet.len() (= orig_of.len()) by worker-pool contract
                 orig_of[result.index],
                 (disposition_of(result), result.digest_line()),
             );

@@ -56,8 +56,6 @@
 //! assert_eq!(report.summaries_digest(), again.summaries_digest());
 //! ```
 
-#![warn(missing_docs)]
-
 pub mod cache;
 pub mod fleet;
 pub mod journal;
@@ -806,8 +804,11 @@ impl JobContext {
                 })
             } else {
                 catch_unwind(AssertUnwindSafe(|| {
+                    #[expect(
+                        clippy::panic,
+                        reason = "deliberate injected fault, contained by catch_unwind"
+                    )]
                     if faults.as_ref().is_some_and(|f| f.panic_job) {
-                        // bios-audit: allow(P-panic) — deliberate injected fault, contained by catch_unwind
                         panic!("injected worker panic (fault plan)");
                     }
                     entry.run_calibration_with(seed, physics_plan)

@@ -468,7 +468,10 @@ impl StreamEngine {
     /// completed jobs swap the epoch (when `swap` — i.e. inside the
     /// horizon — and the gain is usable), failures and rejections back
     /// off and re-arm the monitor so persistent drift re-trips.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the five outcome counters are locals of the tick loop that calls this"
+    )]
     fn settle(
         &self,
         outcome: &RequestOutcome,

@@ -42,9 +42,6 @@
 //! assert_eq!(report.recal_degraded, 0, "recalibrations never brown out");
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cohort;
 pub mod engine;
 pub mod epoch;

@@ -4,9 +4,11 @@
 //!
 //! Run with: `cargo run --example hysteresis`
 
-// An example reports on stdout by design, and aborting with a clear
-// message is its right failure mode.
-#![allow(clippy::print_stdout, clippy::expect_used)]
+#![allow(
+    clippy::print_stdout,
+    clippy::expect_used,
+    reason = "an example reports on stdout by design, and aborting with a clear message is its right failure mode"
+)]
 
 use biosim::core::catalog;
 use biosim::electrochem::voltammetry::Voltammogram;

@@ -13,8 +13,10 @@
 //!
 //! Run with: `cargo run --example overload`
 
-// An example reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "an example reports on stdout by design"
+)]
 
 use biosim::core::catalog;
 use biosim::gateway::{

@@ -3,8 +3,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-// An example reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "an example reports on stdout by design"
+)]
 
 use biosim::prelude::*;
 

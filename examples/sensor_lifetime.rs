@@ -9,8 +9,10 @@
 //!
 //! Run with: `cargo run --example sensor_lifetime`
 
-// An example reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "an example reports on stdout by design"
+)]
 
 use biosim::core::platform::stack::IntegratedStack;
 use biosim::core::protocol::{CalibrationProtocol, Chronoamperometry};

@@ -5,8 +5,10 @@
 //!
 //! Run with: `cargo run --example transduction_zoo`
 
-// An example reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "an example reports on stdout by design"
+)]
 
 use biosim::core::catalog;
 use biosim::electrochem::field_effect::BioFet;

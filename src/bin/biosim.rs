@@ -8,8 +8,10 @@
 //! biosim measure cyp/cyclophosphamide 40   # simulate measuring 40 µM
 //! ```
 
-// A CLI binary reports on stdout by design.
-#![allow(clippy::print_stdout)]
+#![allow(
+    clippy::print_stdout,
+    reason = "a CLI binary reports on stdout by design"
+)]
 
 use std::process::ExitCode;
 

@@ -48,8 +48,6 @@
 //! # Ok::<(), biosim::core::CoreError>(())
 //! ```
 
-#![warn(missing_docs)]
-
 pub use bios_analytics as analytics;
 pub use bios_core as core;
 pub use bios_electrochem as electrochem;

@@ -5,9 +5,10 @@ use biosim::core::catalog;
 use biosim::core::platform::SensingPlatform;
 use biosim::prelude::*;
 
-// Test setup helper: aborting on a bad mount is the right failure mode,
-// but clippy only auto-exempts `#[test]` functions themselves.
-#[allow(clippy::unwrap_used)]
+#[allow(
+    clippy::unwrap_used,
+    reason = "test setup helper: aborting on a bad mount is the right failure mode, but clippy only auto-exempts `#[test]` functions themselves"
+)]
 fn loaded_chip(seed: u64) -> SensingPlatform {
     let mut chip = SensingPlatform::epfl_chip(seed);
     chip.mount(0, catalog::our_glucose_sensor().build_sensor())

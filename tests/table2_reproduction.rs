@@ -11,9 +11,10 @@ struct Scored {
     lod_ratio: Option<f64>,
 }
 
-// Test setup helper: aborting on a failed calibration is the right
-// failure mode, but clippy only auto-exempts `#[test]` functions.
-#[allow(clippy::expect_used)]
+#[allow(
+    clippy::expect_used,
+    reason = "test setup helper: aborting on a failed calibration is the right failure mode, but clippy only auto-exempts `#[test]` functions"
+)]
 fn score(entries: Vec<CatalogEntry>, seed: u64) -> Vec<Scored> {
     entries
         .into_iter()
