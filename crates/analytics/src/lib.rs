@@ -30,8 +30,6 @@
 //! # Ok::<(), bios_analytics::AnalyticsError>(())
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod calibration;
 pub mod drift;
 pub mod error;

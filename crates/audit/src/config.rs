@@ -353,14 +353,6 @@ impl Config {
         };
         scopes.iter().any(|s| scope_matches(s, path))
     }
-
-    /// FNV-1a fingerprint of the whole rule table plus the tool
-    /// version. Any change to either invalidates the per-file facts
-    /// cache.
-    pub fn fingerprint(&self) -> u64 {
-        let rendered = format!("v{}|{:?}", env!("CARGO_PKG_VERSION"), self);
-        crate::graph::fnv1a(rendered.as_bytes())
-    }
 }
 
 /// Anchored scope matching (see [`Config::in_scope`]).

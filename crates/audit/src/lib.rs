@@ -39,9 +39,6 @@
 //!
 //! The tool is itself subject to every rule it enforces.
 
-#![warn(missing_debug_implementations)]
-
-pub mod cache;
 pub mod config;
 pub mod graph;
 pub mod items;
@@ -51,7 +48,6 @@ pub mod rules;
 pub mod walk;
 pub mod workspace;
 
-pub use cache::CacheStats;
 pub use config::{Config, Rule};
 pub use graph::{FileFacts, TaintChain};
 pub use items::{parse_items, Item, ItemKind};

@@ -1,7 +1,7 @@
 //! Golden tests for the semantic pass (DESIGN.md §16): one firing and
 //! one near-miss fixture per new family (G-taint, G-layer, L-lock),
 //! pinning the exact `file:line:col rule` output, plus the anchored
-//! path-scoping regression.
+//! path-scoping regression and the D scope over the real tree.
 
 use bios_audit::graph::{dep_edges, layer_findings, CallGraph};
 use bios_audit::{analyze_file, audit_source, Config, Rule};
@@ -132,4 +132,40 @@ fn scope_matching_is_anchored_to_crates_relative_prefixes() {
     // Entries without a `/` (digest, fingerprint) match file names only.
     assert!(config.in_scope(Rule::DTime, "crates/recover/src/digest.rs"));
     assert!(!config.in_scope(Rule::DTime, "crates/digestive/src/lib.rs"));
+}
+
+#[test]
+fn digest_scope_covers_exactly_these_files() {
+    // The D rules' reach over the real tree, file by file: a scope
+    // entry that starts matching a new file, or stops matching one,
+    // fails here instead of silently widening or narrowing the gate.
+    let root = bios_audit::walk::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("the audit crate lives inside the workspace");
+    let config = Config::default();
+    let in_scope: Vec<String> = bios_audit::walk::collect_sources(&root)
+        .expect("the workspace sources are readable")
+        .iter()
+        .map(|file| bios_audit::walk::display_path(&root, file))
+        .filter(|path| config.in_scope(Rule::DHash, path))
+        .collect();
+    assert_eq!(
+        in_scope,
+        [
+            "crates/gateway/src/breaker.rs",
+            "crates/gateway/src/bucket.rs",
+            "crates/quorum/src/suspect.rs",
+            "crates/quorum/src/vote.rs",
+            "crates/recover/src/codec.rs",
+            "crates/recover/src/journal.rs",
+            "crates/recover/src/sim.rs",
+            "crates/runtime/src/cache.rs",
+            "crates/runtime/src/journal.rs",
+            "crates/shard/src/merge.rs",
+            "crates/shard/src/route.rs",
+            "crates/shard/src/supervisor.rs",
+            "crates/stream/src/cohort.rs",
+            "crates/stream/src/engine.rs",
+            "crates/stream/src/epoch.rs",
+        ]
+    );
 }

@@ -12,7 +12,7 @@
 //! | overload | 1 and 8 workers | a bursty gateway trace is shed, browned out and breaker-tripped, boundedly, and drains |
 //! | stream | 1 and 8 workers | a 1000-patient × 288-tick cohort detects its drift and swaps epochs, with no false trip |
 //! | shard | 1×1, 4×2, 8×8; 4×2 with a lost shard; quorum-armed 1×1, 4×2, 8×8 | placement, shard loss and the redundancy screen never move a byte |
-//! | survey | sequential; 8 workers | the `survey` binary's 138-job fleet |
+//! | survey | sequential; 8 workers | the survey fleet (every catalog sensor × seeds 0..6), 138 jobs |
 //! | torture | one campaign | every storage-fault schedule lands in the trichotomy |
 //!
 //! Each failing row is reported on stderr with its scenario, layout,
@@ -565,8 +565,8 @@ fn shard(gate: &mut Gate) {
 }
 
 fn survey(gate: &mut Gate) {
-    // Every catalog sensor (Table 2 rows plus the multi-panel
-    // entries) × 6 replicate seeds: the `survey` binary's fleet.
+    // The survey fleet: every catalog sensor (Table 2 rows plus the
+    // multi-panel entries) × seeds 0..6.
     let mut sensors = catalog::all_table2();
     sensors.extend(catalog::multi_panel_sensors());
     let fleet = Fleet::builder("survey-bench")

@@ -15,12 +15,10 @@
 //! * `gate` — every CI scenario at every layout, each result digest
 //!   pinned to its sibling layouts and to an absolute ledger.
 //!
-//! Wall-clock benches (`cargo bench -p bios-bench`) measure simulation
-//! throughput of the physics kernels, the calibration protocols, and the
-//! full table regeneration via the std-only [`timing`] harness.
+//! Wall-clock performance is measured by the separate `perfbench`
+//! package (`perfbench/README.md`), not by this crate.
 
 pub mod ablation;
-pub mod timing;
 pub mod torture;
 
 /// Installs a panic hook that swallows the backtrace spam from

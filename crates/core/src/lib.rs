@@ -39,8 +39,6 @@
 //! # Ok::<(), bios_core::CoreError>(())
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod analyte;
 pub mod baseline;
 pub mod catalog;

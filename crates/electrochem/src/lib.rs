@@ -48,8 +48,6 @@
 //! assert!(i.as_micro_amps() > 0.0);
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod butler_volmer;
 pub mod checkpoint;
 pub mod cottrell;

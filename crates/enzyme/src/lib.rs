@@ -33,8 +33,6 @@
 //! assert!((v.as_per_second() - 350.0).abs() < 1e-9);
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod cyp;
 pub mod film;
 pub mod inhibition;

@@ -23,8 +23,6 @@
 //! assert!((reading.as_nano_amps() - 250.0).abs() < 25.0);
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod adc;
 pub mod amplifier;
 pub mod cell;

@@ -24,8 +24,6 @@
 //! assert!(bound > blank);
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod qcm;
 pub mod spr;
 

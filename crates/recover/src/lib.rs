@@ -49,8 +49,6 @@
 //! # Ok::<(), bios_recover::JournalError>(())
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod codec;
 pub mod journal;
 pub mod sim;

@@ -1,17 +1,11 @@
-//! Run metrics: atomic counters and a wall-time histogram.
+//! Run metrics: lock-free atomic counters.
 //!
 //! The runtime keeps its observability surface deliberately light —
-//! lock-free atomic counters on the job path and a fixed-bucket
-//! log₂-spaced histogram of per-job wall times — so metering never
-//! perturbs the throughput it measures. Snapshots serialize to JSON by
-//! hand (the platform carries no serialization dependency).
+//! relaxed atomic counters on the job path — so metering never
+//! perturbs the throughput it measures. Wall-clock timing belongs to
+//! the `perfbench` harness, not to the runtime.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
-
-/// Histogram buckets: bucket `i` counts jobs with wall time in
-/// `[2^i, 2^(i+1))` microseconds; the last bucket is unbounded.
-pub const HISTOGRAM_BUCKETS: usize = 24;
 
 /// Shared, lock-free counters updated by every worker.
 #[derive(Debug, Default)]
@@ -21,7 +15,6 @@ pub struct RuntimeMetrics {
     jobs_failed: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    busy_micros: AtomicU64,
     retries: AtomicU64,
     faults_injected: AtomicU64,
     budget_rejections: AtomicU64,
@@ -34,7 +27,6 @@ pub struct RuntimeMetrics {
     deadline_kills: AtomicU64,
     nonfinite_quarantined: AtomicU64,
     corruption_caught: AtomicU64,
-    histogram: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
 impl RuntimeMetrics {
@@ -49,9 +41,8 @@ impl RuntimeMetrics {
         self.jobs_submitted.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one finished job: success/failure, cache disposition,
-    /// and its wall time.
-    pub fn record_finished(&self, ok: bool, from_cache: bool, wall: Duration) {
+    /// Records one finished job: success/failure and cache disposition.
+    pub fn record_finished(&self, ok: bool, from_cache: bool) {
         if ok {
             self.jobs_completed.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -62,10 +53,6 @@ impl RuntimeMetrics {
         } else {
             self.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-        let micros = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
-        self.busy_micros.fetch_add(micros, Ordering::Relaxed);
-        let bucket = (63 - micros.max(1).leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-        self.histogram[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one retry of a transiently-failed job.
@@ -159,7 +146,6 @@ impl RuntimeMetrics {
             jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            busy_micros: self.busy_micros.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             budget_rejections: self.budget_rejections.load(Ordering::Relaxed),
@@ -174,7 +160,6 @@ impl RuntimeMetrics {
             cache_corrupt_dropped: 0,
             nonfinite_quarantined: self.nonfinite_quarantined.load(Ordering::Relaxed),
             corruption_caught: self.corruption_caught.load(Ordering::Relaxed),
-            histogram: std::array::from_fn(|i| self.histogram[i].load(Ordering::Relaxed)),
         }
     }
 }
@@ -192,8 +177,6 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Jobs that had to run the simulation.
     pub cache_misses: u64,
-    /// Total worker-side busy time, microseconds.
-    pub busy_micros: u64,
     /// Transient-failure retries performed.
     pub retries: u64,
     /// Individual faults injected by armed plans, across all jobs.
@@ -232,8 +215,6 @@ pub struct MetricsSnapshot {
     /// Results whose produce-time checksum failed at an integrity hop
     /// (journal append, shard completion).
     pub corruption_caught: u64,
-    /// Per-job wall-time histogram (log₂ µs buckets).
-    pub histogram: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl MetricsSnapshot {
@@ -248,78 +229,6 @@ impl MetricsSnapshot {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Approximate wall-time quantile (e.g. `0.5`, `0.99`) from the
-    /// histogram, reported as the upper edge of the containing bucket
-    /// in microseconds. Zero when the histogram is empty.
-    #[must_use]
-    pub fn wall_quantile_micros(&self, q: f64) -> u64 {
-        let total: u64 = self.histogram.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, count) in self.histogram.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << HISTOGRAM_BUCKETS
-    }
-
-    /// Renders the snapshot as a JSON object (hand-rolled; the platform
-    /// carries no serialization dependency).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .histogram
-            .iter()
-            .enumerate()
-            .filter(|(_, count)| **count > 0)
-            .map(|(i, count)| format!("{{\"le_micros\":{},\"count\":{count}}}", 1u64 << (i + 1)))
-            .collect();
-        format!(
-            concat!(
-                "{{\"jobs_submitted\":{},\"jobs_completed\":{},\"jobs_failed\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4},",
-                "\"busy_micros\":{},\"wall_p50_micros\":{},\"wall_p99_micros\":{},",
-                "\"retries\":{},\"faults_injected\":{},\"budget_rejections\":{},",
-                "\"worker_respawns\":{},\"cache_evictions\":{},",
-                "\"journal_records\":{},\"journal_lost\":{},",
-                "\"journal_retries\":{},\"resumed_jobs\":{},",
-                "\"stalled_workers\":{},\"deadline_kills\":{},",
-                "\"cache_corrupt_dropped\":{},\"nonfinite_quarantined\":{},",
-                "\"corruption_caught\":{},",
-                "\"wall_histogram\":[{}]}}"
-            ),
-            self.jobs_submitted,
-            self.jobs_completed,
-            self.jobs_failed,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate(),
-            self.busy_micros,
-            self.wall_quantile_micros(0.5),
-            self.wall_quantile_micros(0.99),
-            self.retries,
-            self.faults_injected,
-            self.budget_rejections,
-            self.worker_respawns,
-            self.cache_evictions,
-            self.journal_records,
-            self.journal_lost,
-            self.journal_retries,
-            self.resumed_jobs,
-            self.stalled_workers,
-            self.deadline_kills,
-            self.cache_corrupt_dropped,
-            self.nonfinite_quarantined,
-            self.corruption_caught,
-            buckets.join(",")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -330,9 +239,9 @@ mod tests {
     fn counters_accumulate() {
         let m = RuntimeMetrics::new();
         m.record_submitted(3);
-        m.record_finished(true, false, Duration::from_micros(100));
-        m.record_finished(true, true, Duration::from_micros(10));
-        m.record_finished(false, false, Duration::from_micros(1000));
+        m.record_finished(true, false);
+        m.record_finished(true, true);
+        m.record_finished(false, false);
         let s = m.snapshot();
         assert_eq!(s.jobs_submitted, 3);
         assert_eq!(s.jobs_completed, 2);
@@ -340,50 +249,12 @@ mod tests {
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 2);
         assert!((s.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.busy_micros, 1110);
-    }
-
-    #[test]
-    fn histogram_buckets_by_log2_micros() {
-        let m = RuntimeMetrics::new();
-        m.record_finished(true, false, Duration::from_micros(1)); // bucket 0
-        m.record_finished(true, false, Duration::from_micros(3)); // bucket 1
-        m.record_finished(true, false, Duration::from_micros(1500)); // bucket 10
-        let s = m.snapshot();
-        assert_eq!(s.histogram[0], 1);
-        assert_eq!(s.histogram[1], 1);
-        assert_eq!(s.histogram[10], 1);
-    }
-
-    #[test]
-    fn quantiles_track_the_histogram() {
-        let m = RuntimeMetrics::new();
-        for _ in 0..99 {
-            m.record_finished(true, false, Duration::from_micros(100)); // bucket 6
-        }
-        m.record_finished(true, false, Duration::from_micros(100_000)); // bucket 16
-        let s = m.snapshot();
-        assert_eq!(s.wall_quantile_micros(0.5), 1 << 7);
-        assert_eq!(s.wall_quantile_micros(0.999), 1 << 17);
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let m = RuntimeMetrics::new();
-        m.record_submitted(1);
-        m.record_finished(true, false, Duration::from_micros(42));
-        let json = m.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"jobs_completed\":1"));
-        assert!(json.contains("\"cache_hit_rate\":0.0000"));
-        assert!(json.contains("\"wall_histogram\":[{\"le_micros\":64,\"count\":1}]"));
     }
 
     #[test]
     fn empty_snapshot_is_all_zero() {
         let s = RuntimeMetrics::new().snapshot();
         assert_eq!(s.cache_hit_rate(), 0.0);
-        assert_eq!(s.wall_quantile_micros(0.99), 0);
         assert_eq!(s.retries, 0);
         assert_eq!(s.faults_injected, 0);
         assert_eq!(s.budget_rejections, 0);
@@ -392,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn robustness_counters_accumulate_and_serialize() {
+    fn robustness_counters_accumulate() {
         let m = RuntimeMetrics::new();
         m.record_retry();
         m.record_retry();
@@ -402,61 +273,16 @@ mod tests {
         m.record_worker_respawns(2);
         m.record_corruption_caught(3);
         m.record_corruption_caught(0); // no-op
-        let mut s = m.snapshot();
+        let s = m.snapshot();
         assert_eq!(s.retries, 2);
         assert_eq!(s.faults_injected, 3);
         assert_eq!(s.budget_rejections, 1);
         assert_eq!(s.worker_respawns, 2);
         assert_eq!(s.corruption_caught, 3);
-        s.cache_evictions = 5;
-        let json = s.to_json();
-        assert!(json.contains("\"retries\":2"));
-        assert!(json.contains("\"faults_injected\":3"));
-        assert!(json.contains("\"budget_rejections\":1"));
-        assert!(json.contains("\"worker_respawns\":2"));
-        assert!(json.contains("\"cache_evictions\":5"));
-        assert!(json.contains("\"corruption_caught\":3"));
     }
 
     #[test]
-    fn json_key_list_is_pinned() {
-        // Every value of an empty snapshot is a number, so every quoted
-        // string is a key: adding or removing a counter changes this list.
-        let json = RuntimeMetrics::new().snapshot().to_json();
-        let keys: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
-        assert_eq!(
-            keys,
-            [
-                "jobs_submitted",
-                "jobs_completed",
-                "jobs_failed",
-                "cache_hits",
-                "cache_misses",
-                "cache_hit_rate",
-                "busy_micros",
-                "wall_p50_micros",
-                "wall_p99_micros",
-                "retries",
-                "faults_injected",
-                "budget_rejections",
-                "worker_respawns",
-                "cache_evictions",
-                "journal_records",
-                "journal_lost",
-                "journal_retries",
-                "resumed_jobs",
-                "stalled_workers",
-                "deadline_kills",
-                "cache_corrupt_dropped",
-                "nonfinite_quarantined",
-                "corruption_caught",
-                "wall_histogram",
-            ]
-        );
-    }
-
-    #[test]
-    fn journal_loss_counters_accumulate_and_serialize() {
+    fn journal_loss_counters_accumulate() {
         let m = RuntimeMetrics::new();
         m.record_journal_lost();
         m.record_journal_retries(4);
@@ -466,9 +292,5 @@ mod tests {
         assert_eq!(s.journal_lost, 1);
         assert_eq!(s.journal_retries, 4);
         assert_eq!(s.journal_records, 7);
-        let json = s.to_json();
-        assert!(json.contains("\"journal_lost\":1"));
-        assert!(json.contains("\"journal_retries\":4"));
-        assert!(json.contains("\"journal_records\":7"));
     }
 }

@@ -44,8 +44,6 @@
 //! assert_eq!(s.as_micro_amps_per_milli_molar_square_cm(), 55.5);
 //! ```
 
-#![warn(missing_debug_implementations)]
-
 pub mod approx;
 mod concentration;
 mod electrical;

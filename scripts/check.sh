@@ -30,21 +30,12 @@ run cargo clippy --workspace --all-targets -- -D warnings
 # API-hygiene audit (DESIGN.md §11) plus the semantic pass (DESIGN.md
 # §16): call-graph determinism taint, crate-layer proofs, and lock
 # discipline. Any finding fails the gate; the waiver
-# count is part of the printed summary. The audit runs twice — the
-# second run must ride the per-file facts cache.
+# count is part of the printed summary.
 run cargo run --release -q -p bios-audit
-if ! grep -q '"schema_version": 3,' AUDIT_report.json; then
-    echo "audit gate: AUDIT_report.json has an unknown schema_version (expected 3)" >&2
+if ! grep -q '"schema_version": 4,' AUDIT_report.json; then
+    echo "audit gate: AUDIT_report.json has an unknown schema_version (expected 4)" >&2
     exit 1
 fi
-audit_warm="$(cargo run --release -q -p bios-audit 2>&1 | tail -1)"
-echo "    $audit_warm"
-case "$audit_warm" in
-*"cache 0/"*)
-    echo "audit gate: second run had zero facts-cache hits" >&2
-    exit 1
-    ;;
-esac
 
 # Semantic fixture gate: each new rule family must still *fire*. Every
 # firing fixture is staged into a synthetic workspace and the audit
@@ -60,7 +51,7 @@ audit_fixture() { # <family> <fixture> <staged-path>
     printf '[workspace]\nmembers = ["crates/*"]\n' >"$fixroot/Cargo.toml"
     cp "crates/audit/tests/fixtures/$fixture" "$fixroot/$staged"
     if cargo run --release -q -p bios-audit -- \
-        --root "$fixroot" --no-cache --json "$fixroot/report.json" >/dev/null; then
+        --root "$fixroot" --json "$fixroot/report.json" >/dev/null; then
         echo "audit gate: $fam fixture $fixture did not fail the audit" >&2
         exit 1
     fi
